@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import pickle
 import sys
 from pathlib import Path
 
@@ -20,15 +19,16 @@ from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
 from .search_engine import (
-    Index,
     RankedList,
     build_index,
     prf_expand,
     read_documents,
     read_trec_run,
+    save_index,
     search,
     write_trec_run,
 )
+from .search_engine import load_index as _load_index
 from .text import tokenize
 
 
@@ -61,12 +61,14 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _load_index(path: str) -> Index:
-    with open(path, "rb") as fh:
-        idx = pickle.load(fh)
-    if not isinstance(idx, Index):
-        raise SqeError(f"{path} is not an index file")
-    return idx
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _kb_flags(sub):
@@ -99,11 +101,14 @@ def _make_linker(g, args) -> EntityLinker:
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:
-    cfg = (
-        pipeline.PipelineConfig.from_file(args.config)
-        if args.config
-        else pipeline.PipelineConfig()
-    )
+    try:
+        cfg = (
+            pipeline.PipelineConfig.from_file(args.config)
+            if args.config
+            else pipeline.PipelineConfig()
+        )
+    except ValueError as exc:  # a bad value, plan motif or cutoff in the config
+        raise SystemExit(_usage_error(f"{args.config}: {exc}")) from None
     if getattr(args, "prf", False):
         cfg.prf = True
     return cfg
@@ -125,8 +130,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_index(args) -> int:
     idx = build_index(read_documents(args.docs))
-    with open(args.out, "wb") as fh:
-        pickle.dump(idx, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    save_index(idx, args.out)
     print(
         f"indexed {idx.n_docs} documents, {idx.collection_length} tokens",
         file=sys.stderr,
@@ -215,9 +219,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
+    cfg = _config_from_args(args)
     g = _load_kb(args)
     idx = _load_index(args.index)
-    cfg = _config_from_args(args)
     topics = pipeline.load_topics(args.topics)
     runs, reports = pipeline.run_batch(g, idx, topics, cfg, jobs=args.jobs)
     with _output(args.out) as out:
@@ -330,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--query", help="a single rendered query")
     p.add_argument("--queries", help="file with one query per line, optional <qid>TAB prefix")
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--k", type=_positive_int, default=1000)
     p.add_argument("--mu", type=float, default=2500.0)
     p.add_argument("--prf", action="store_true")
     p.add_argument("--out")

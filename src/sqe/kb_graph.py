@@ -368,6 +368,11 @@ def load_snapshot(path: str) -> KBGraph:
         payload = pickle.load(fh)
     if not isinstance(payload, dict) or payload.get("magic") != _SNAPSHOT_MAGIC:
         raise FormatError(0, f"{path}: not a graph snapshot")
+    if payload.get("version") != _SNAPSHOT_VERSION:
+        raise FormatError(
+            0, f"{path}: snapshot format version {payload.get('version')!r}, this build reads "
+            f"version {_SNAPSHOT_VERSION}; re-create it with `sqe ingest --out`"
+        )
     nodes = _make_nodes(payload["nodes"], path)
     edges = {EdgeKind(k): np.asarray(v, dtype=np.int64) for k, v in payload["edges"].items()}
     return _assemble(nodes, edges)

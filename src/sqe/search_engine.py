@@ -13,7 +13,7 @@ Indexes are immutable after build; concurrent searches are safe.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+import zipfile
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Sequence
@@ -59,49 +59,54 @@ class RankedList:
 
 
 class Index:
-    """Positional inverted index over a document collection."""
+    """Positional inverted index over a document collection, held as columns.
+
+    The collection is one term-id array, ``tokens``, in token order;
+    document ``d`` covers ``doc_lengths[d]`` tokens from ``_doc_starts[d]``,
+    so a token's global position is ``_doc_starts[doc] + pos``.  Postings are
+    CSR over global positions: term ``t`` occurs, in ascending order, at
+    ``_positions[_offsets[t]:_offsets[t + 1]]``.  Term ids follow first
+    appearance, and everything is fixed at construction.
+    """
 
     __slots__ = (
         "doc_ids",
         "_ordinals",
         "doc_lengths",
         "collection_length",
-        "postings",
+        "vocab",
+        "_term_ids",
+        "tokens",
         "collection_tf",
-        "_window_cf",
+        "_doc_starts",
+        "_doc_of",
+        "_doc_rank",
+        "_offsets",
+        "_positions",
     )
 
-    def __init__(self, docs: Iterable[Document]):
-        self.doc_ids: list[str] = []
+    def __init__(
+        self, doc_ids: list[str], doc_lengths: np.ndarray, vocab: list[str], tokens: np.ndarray
+    ):
+        self.doc_ids = doc_ids
         self._ordinals: dict[str, int] = {}
-        lengths: list[int] = []
-        positions: dict[str, list[tuple[int, list[int]]]] = {}
-        for doc in docs:
-            if doc.doc_id in self._ordinals:
-                raise DuplicateDocId(f"document id {doc.doc_id!r} appears twice")
-            ordinal = len(self.doc_ids)
-            self._ordinals[doc.doc_id] = ordinal
-            self.doc_ids.append(doc.doc_id)
-            lengths.append(len(doc.tokens))
-            per_token: dict[str, list[int]] = {}
-            for pos, tok in enumerate(doc.tokens):
-                per_token.setdefault(tok, []).append(pos)
-            for tok, plist in per_token.items():
-                positions.setdefault(tok, []).append((ordinal, plist))
-        self.doc_lengths = np.array(lengths, dtype=np.int64)
+        for ordinal, doc_id in enumerate(doc_ids):
+            if self._ordinals.setdefault(doc_id, ordinal) != ordinal:
+                raise DuplicateDocId(f"document id {doc_id!r} appears twice")
+        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         self.collection_length = int(self.doc_lengths.sum())
-        self.postings = {
-            tok: (
-                np.array([o for o, _p in entries], dtype=np.int64),
-                [np.array(p, dtype=np.int64) for _o, p in entries],
-            )
-            for tok, entries in positions.items()
-        }
-        self.collection_tf = {
-            tok: int(sum(p.size for p in plists))
-            for tok, (_o, plists) in self.postings.items()
-        }
-        self._window_cf: dict[tuple[int, tuple[str, ...]], int] = {}
+        self.vocab = vocab
+        self._term_ids = {tok: t for t, tok in enumerate(vocab)}
+        self.tokens = np.asarray(tokens, dtype=np.int32)
+        counts = np.bincount(self.tokens, minlength=len(vocab))
+        self.collection_tf = dict(zip(vocab, counts.tolist()))
+        self._doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
+        self._doc_of = np.repeat(np.arange(len(doc_ids)), self.doc_lengths)
+        by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        self._doc_rank = np.empty(len(doc_ids), dtype=np.int64)
+        self._doc_rank[by_id] = np.arange(len(doc_ids))
+        self._offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._positions = np.argsort(self.tokens, kind="stable")
 
     @property
     def n_docs(self) -> int:
@@ -112,29 +117,103 @@ class Index:
             return self._ordinals[doc]
         return doc
 
-    def term_tf(self, token: str, ordinal: int) -> int:
-        entry = self.postings.get(token)
-        if entry is None:
-            return 0
-        ordinals, plists = entry
-        pos = int(np.searchsorted(ordinals, ordinal))
-        if pos < ordinals.size and ordinals[pos] == ordinal:
-            return int(plists[pos].size)
-        return 0
-
-    def positions(self, token: str, ordinal: int) -> np.ndarray | None:
-        entry = self.postings.get(token)
-        if entry is None:
-            return None
-        ordinals, plists = entry
-        pos = int(np.searchsorted(ordinals, ordinal))
-        if pos < ordinals.size and ordinals[pos] == ordinal:
-            return plists[pos]
-        return None
+    def _postings(self, token: str) -> np.ndarray:
+        """Ascending global positions of ``token``; empty when it never occurs."""
+        t = self._term_ids.get(token)
+        if t is None:
+            return self._positions[:0]
+        return self._positions[self._offsets[t] : self._offsets[t + 1]]
 
 
 def build_index(docs: Iterable[Document]) -> Index:
-    return Index(docs)
+    doc_ids: list[str] = []
+    lengths: list[int] = []
+    term_ids: dict[str, int] = {}
+    tokens: list[int] = []
+    for doc in docs:
+        doc_ids.append(doc.doc_id)
+        lengths.append(len(doc.tokens))
+        tokens.extend(term_ids.setdefault(tok, len(term_ids)) for tok in doc.tokens)
+    return Index(
+        doc_ids, np.array(lengths, dtype=np.int64), list(term_ids), np.array(tokens, dtype=np.int32)
+    )
+
+
+# -- index files ----------------------------------------------------------------
+
+_INDEX_MAGIC = "sqe-index"
+_INDEX_VERSION = 2  # version 1 was a pickled Index object
+_ZIP_MAGIC = b"PK\x03\x04"
+_REBUILD = "rebuild it with `sqe index`"
+
+
+def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 bytes of all strings back to back, and each string's end offset."""
+    encoded = [s.encode("utf-8") for s in strings]
+    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
+
+
+def _unpack_strings(blob: np.ndarray, ends: np.ndarray) -> list[str]:
+    raw = blob.tobytes()
+    ends = ends.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends)]
+
+
+def save_index(idx: Index, path: str) -> None:
+    """Write the index columns as a versioned, uncompressed ``.npz`` file."""
+    doc_ids, doc_id_ends = _pack_strings(idx.doc_ids)
+    vocab, vocab_ends = _pack_strings(idx.vocab)
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            magic=np.array(_INDEX_MAGIC),
+            version=np.array(_INDEX_VERSION),
+            doc_ids=doc_ids,
+            doc_id_ends=doc_id_ends,
+            vocab=vocab,
+            vocab_ends=vocab_ends,
+            doc_lengths=idx.doc_lengths,
+            tokens=idx.tokens,
+        )
+
+
+def load_index(path: str) -> Index:
+    """Read a file written by ``save_index``; loading never unpickles."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise FormatError(
+                0, f"{path}: not an index file (indexes older than format "
+                f"version {_INDEX_VERSION} were pickles; {_REBUILD})"
+            )
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                if data["magic"].item() != _INDEX_MAGIC:
+                    raise FormatError(0, f"{path}: not an index file")
+                version = int(data["version"])
+                if version != _INDEX_VERSION:
+                    raise FormatError(
+                        0, f"{path}: index format version {version}, this build reads "
+                        f"version {_INDEX_VERSION}; {_REBUILD}"
+                    )
+                doc_ids = _unpack_strings(data["doc_ids"], data["doc_id_ends"])
+                vocab = _unpack_strings(data["vocab"], data["vocab_ends"])
+                lengths, tokens = data["doc_lengths"], data["tokens"]
+        except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            reason = f"{path}: corrupt or truncated index ({exc}); {_REBUILD}"
+            raise FormatError(0, reason) from None
+    consistent = (
+        lengths.ndim == tokens.ndim == 1
+        and lengths.dtype.kind == tokens.dtype.kind == "i"
+        and lengths.size == len(doc_ids)
+        and not (lengths < 0).any()
+        and int(lengths.sum()) == tokens.size
+        and (tokens.size == 0 or (tokens.min() >= 0 and tokens.max() < len(vocab)))
+    )
+    if not consistent:
+        raise FormatError(0, f"{path}: index columns do not fit together; {_REBUILD}")
+    return Index(doc_ids, lengths, vocab, tokens)
 
 
 def read_documents(path: str) -> Iterable[Document]:
@@ -151,66 +230,31 @@ def read_documents(path: str) -> Iterable[Document]:
             yield Document.from_text(str(doc_id), str(text))
 
 
-def _window_count(pos_lists: Sequence[np.ndarray], n: int) -> int:
-    """Ordered tuples with each consecutive gap in [1, n]."""
-    ways = [1] * int(pos_lists[0].size)
-    prev = pos_lists[0]
-    for plist in pos_lists[1:]:
-        prefix = [0]
-        for w in ways:
-            prefix.append(prefix[-1] + w)
-        prev_list = prev.tolist()
-        new_ways = []
-        for p in plist.tolist():
-            lo = bisect_left(prev_list, p - n)
-            hi = bisect_right(prev_list, p - 1)
-            new_ways.append(prefix[hi] - prefix[lo])
-        ways = new_ways
-        prev = plist
-    return sum(ways)
+def _window_tf(idx: Index, n: int, tokens: Sequence[str]) -> np.ndarray:
+    """Per-document count of ordered position tuples with each gap in [1, n].
+
+    A dynamic program over the tokens' global postings: ``ways[j]`` counts
+    the partial matches ending at the j-th occurrence of the current token.
+    An occurrence at ``p`` extends the previous token's matches at positions
+    in ``[max(p - n, doc_start(p)), p - 1]``, so no match crosses a document
+    boundary; prefix sums give each range's total in one ``searchsorted``.
+    """
+    prev = idx._postings(tokens[0])
+    ways = np.ones(prev.size, dtype=np.int64)
+    for tok in tokens[1:]:
+        cur = idx._postings(tok)
+        lowest = np.maximum(cur - n, idx._doc_starts[idx._doc_of[cur]])
+        prefix = np.concatenate(([0], np.cumsum(ways)))
+        ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
+        prev = cur
+    return np.bincount(idx._doc_of[prev], weights=ways, minlength=idx.n_docs)
 
 
 def window_tf(idx: Index, doc: str | int, n: int, tokens: Sequence[str]) -> int:
     """Window match count inside one document."""
     if n < 1:
         raise ValueError("window size must be >= 1")
-    ordinal = idx.ordinal(doc)
-    pos_lists = []
-    for tok in tokens:
-        plist = idx.positions(tok, ordinal)
-        if plist is None or plist.size == 0:
-            return 0
-        pos_lists.append(plist)
-    return _window_count(pos_lists, n)
-
-
-def _window_collection_tf(idx: Index, n: int, tokens: tuple[str, ...]) -> int:
-    key = (n, tokens)
-    got = idx._window_cf.get(key)
-    if got is not None:
-        return got
-    total = 0
-    for ordinal in _candidate_ordinals(idx, tokens):
-        total += window_tf(idx, ordinal, n, tokens)
-    idx._window_cf[key] = total
-    return total
-
-
-def _candidate_ordinals(idx: Index, tokens: tuple[str, ...]) -> np.ndarray:
-    """Ordinals of documents containing every token of the pattern."""
-    arrays = []
-    for tok in set(tokens):
-        entry = idx.postings.get(tok)
-        if entry is None:
-            return np.empty(0, dtype=np.int64)
-        arrays.append(entry[0])
-    arrays.sort(key=lambda a: a.size)
-    current = arrays[0]
-    for arr in arrays[1:]:
-        current = np.intersect1d(current, arr, assume_unique=True)
-        if current.size == 0:
-            break
-    return current
+    return int(_window_tf(idx, n, tokens)[idx.ordinal(doc)])
 
 
 def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
@@ -219,22 +263,10 @@ def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
 
 
 def _score_vector(idx: Index, q: QueryNode, mu: float) -> np.ndarray:
-    if isinstance(q, Term):
-        tf = np.zeros(idx.n_docs)
-        entry = idx.postings.get(q.token)
-        if entry is not None:
-            ordinals, plists = entry
-            tf[ordinals] = [p.size for p in plists]
-        cf = idx.collection_tf.get(q.token, 0)
-        return _dirichlet(tf, cf, idx.doc_lengths, idx.collection_length, mu)
-    if isinstance(q, Window):
-        tf = np.zeros(idx.n_docs)
-        for ordinal in _candidate_ordinals(idx, q.tokens):
-            tf[ordinal] = _window_count(
-                [idx.positions(t, int(ordinal)) for t in q.tokens], q.n
-            )
-        cf = _window_collection_tf(idx, q.n, q.tokens)
-        return _dirichlet(tf, cf, idx.doc_lengths, idx.collection_length, mu)
+    if isinstance(q, (Term, Window)):
+        n, tokens = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
+        tf = _window_tf(idx, n, tokens)
+        return _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
     if isinstance(q, Combine):
         parts = [_score_vector(idx, c, mu) for c in q.children]
         return np.mean(parts, axis=0)
@@ -248,22 +280,7 @@ def score_node(idx: Index, q: QueryNode, doc: str | int, mu: float = DEFAULT_MU)
     """Log-belief of one document under one query node."""
     if idx.n_docs == 0 or idx.collection_length == 0:
         raise EmptyCollection("cannot score against an empty collection")
-    ordinal = idx.ordinal(doc)
-    dlen = int(idx.doc_lengths[ordinal])
-    if isinstance(q, Term):
-        tf = idx.term_tf(q.token, ordinal)
-        cf = idx.collection_tf.get(q.token, 0)
-        return float(_dirichlet(tf, cf, dlen, idx.collection_length, mu))
-    if isinstance(q, Window):
-        tf = window_tf(idx, ordinal, q.n, q.tokens)
-        cf = _window_collection_tf(idx, q.n, q.tokens)
-        return float(_dirichlet(tf, cf, dlen, idx.collection_length, mu))
-    if isinstance(q, Combine):
-        return sum(score_node(idx, c, ordinal, mu) for c in q.children) / len(q.children)
-    if isinstance(q, Weight):
-        total = sum(w for w, _c in q.entries)
-        return sum(w / total * score_node(idx, c, ordinal, mu) for w, c in q.entries)
-    raise TypeError(f"not a query node: {q!r}")
+    return float(_score_vector(idx, q, mu)[idx.ordinal(doc)])
 
 
 def search(
@@ -282,8 +299,8 @@ def search(
     if idx.collection_length == 0:
         raise EmptyCollection("collection has documents but no tokens; scores are undefined")
     scores = _score_vector(idx, q, mu)
-    order = sorted(range(idx.n_docs), key=lambda i: (-scores[i], idx.doc_ids[i]))
-    entries = [(idx.doc_ids[i], float(scores[i])) for i in order[:k]]
+    top = np.lexsort((idx._doc_rank, -scores))[:k]
+    entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
     return RankedList(request_id, entries, tag)
 
 
@@ -340,22 +357,28 @@ def prf_expand(
     soft /= soft.sum()
 
     excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
-    ordinals = [idx.ordinal(d) for d, _s in top]
-    weights: dict[str, float] = {}
-    for tok, (post_ordinals, plists) in idx.postings.items():
-        if tok in excluded:
+    weights = np.zeros(len(idx.vocab))
+    seen = np.zeros(len(idx.vocab), dtype=bool)
+    for rank, (doc_id, _s) in enumerate(top):
+        ordinal = idx.ordinal(doc_id)
+        dlen = int(idx.doc_lengths[ordinal])
+        if not dlen:
             continue
-        for rank, ordinal in enumerate(ordinals):
-            pos = int(np.searchsorted(post_ordinals, ordinal))
-            if pos < post_ordinals.size and post_ordinals[pos] == ordinal:
-                dlen = int(idx.doc_lengths[ordinal])
-                if dlen:
-                    weights[tok] = weights.get(tok, 0.0) + float(
-                        soft[rank] * plists[pos].size / dlen
-                    )
-    if not weights:
+        start = idx._doc_starts[ordinal]
+        terms, tf = np.unique(idx.tokens[start : start + dlen], return_counts=True)
+        weights[terms] += soft[rank] * tf / dlen
+        seen[terms] = True
+    for tok in excluded:
+        t = idx._term_ids.get(tok)
+        if t is not None:
+            seen[t] = False
+    candidates = np.flatnonzero(seen).tolist()
+    if not candidates:
         return q
-    best = sorted(weights.items(), key=lambda e: (-e[1], e[0]))[:fb_terms]
+    best = sorted(
+        ((idx.vocab[t], w) for t, w in zip(candidates, weights[candidates].tolist())),
+        key=lambda e: (-e[1], e[0]),
+    )[:fb_terms]
     feedback = Weight(tuple((w, Term(t)) for t, w in best))
     return Weight(((orig_weight, q), (1.0 - orig_weight, feedback)))
 

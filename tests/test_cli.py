@@ -1,9 +1,13 @@
 import json
+import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqe.cli import main
 from sqe.kb_graph import EdgeKind, load_snapshot
+from sqe.search_engine import Document, build_index
 
 from conftest import CABLE_EDGES, CABLE_NODES, GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 from test_pipeline import GRAFFITI_DOCS
@@ -170,8 +174,7 @@ def test_eval_default_cutoff_columns(tmp_path, capsys):
 
 
 def test_search_matches_library_output(graffiti_index_file, tmp_path, capsys):
-    import pickle
-
+    from sqe.cli import _load_index
     from sqe.query_lang import parse
     from sqe.search_engine import search, write_trec_run
     import io
@@ -179,8 +182,7 @@ def test_search_matches_library_output(graffiti_index_file, tmp_path, capsys):
     query = "#combine( banksy #1(street art) )"
     assert main(["search", "--index", graffiti_index_file, "--query", query, "--k", "5"]) == 0
     cli_out = capsys.readouterr().out
-    with open(graffiti_index_file, "rb") as fh:
-        idx = pickle.load(fh)
+    idx = _load_index(graffiti_index_file)
     buf = io.StringIO()
     write_trec_run([search(idx, parse(query), 5, "1", tag="sqe")], buf)
     assert cli_out == buf.getvalue()
@@ -211,3 +213,53 @@ def test_data_errors_exit_2(tmp_path, capsys):
     edges = write_tsv(tmp_path / "e.tsv", [])
     assert main(["ingest", "--nodes", bad_nodes, "--edges", edges]) == 2
     capsys.readouterr()
+
+
+def test_search_k_below_one_exits_1(graffiti_index_file, capsys):
+    assert main(["search", "--index", graffiti_index_file, "--query", "banksy", "--k", "0"]) == 1
+    assert "--k: must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["plan = eq1:hexagon\n", "cutoffs = 5\n"])
+def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("b1\tbanksy\n")
+    cfg = tmp_path / "sqe.conf"
+    cfg.write_text(config)
+    code = main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file,
+                 "--topics", str(topics), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sqe: error:") and err.count("\n") == 1
+
+
+def _bumped_version(good: Path, path: Path) -> None:
+    with np.load(good) as data:
+        arrays = dict(data)
+    arrays["version"] = arrays["version"] + 1
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+STALE_INDEXES = {
+    "tsv": lambda good, kb, path: path.write_text("73\tgraffiti street art\n"),
+    "snapshot": lambda good, kb, path: path.write_bytes(kb.read_bytes()),
+    "truncated": lambda good, kb, path: path.write_bytes(good.read_bytes()[:-100]),
+    "bumped-version": lambda good, kb, path: _bumped_version(good, path),
+    # indexes were pickled Index objects before the columnar file format
+    "pickle": lambda good, kb, path: path.write_bytes(
+        pickle.dumps(build_index([Document.from_text("d", "banksy")]), pickle.HIGHEST_PROTOCOL)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STALE_INDEXES))
+def test_foreign_or_stale_index_exits_2(kind, tmp_path, graffiti_kb, graffiti_index_file, capsys):
+    path = tmp_path / "idx.bin"
+    STALE_INDEXES[kind](Path(graffiti_index_file), Path(graffiti_kb), path)
+    code = main(["search", "--index", str(path), "--query", "banksy"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sqe: error:") and err.count("\n") == 1
+    if kind in ("pickle", "bumped-version"):
+        assert "rebuild it with `sqe index`" in err

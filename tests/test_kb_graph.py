@@ -218,3 +218,9 @@ def test_snapshot_rejects_other_files(tmp_path):
     path.write_bytes(pickle.dumps({"something": 1}))
     with pytest.raises(FormatError):
         load_snapshot(str(path))
+    # the right magic with another format version
+    path.write_bytes(
+        pickle.dumps({"magic": "sqe-kb-snapshot", "version": 99, "nodes": [], "edges": {}})
+    )
+    with pytest.raises(FormatError, match="version 99"):
+        load_snapshot(str(path))

@@ -5,17 +5,25 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqe.errors import DuplicateDocId, EmptyCollection, FormatError
 from sqe.query_lang import Combine, Term, Weight, Window, parse
 from sqe.search_engine import (
+    DEFAULT_MU,
     Document,
     RankedList,
+    _dirichlet,
+    _score_vector,
+    _window_tf,
     build_index,
     default_stopwords,
+    load_index,
     prf_expand,
+    query_tokens,
     read_documents,
     read_trec_run,
+    save_index,
     score_node,
     search,
     window_tf,
@@ -32,7 +40,9 @@ def docs_from(pairs):
 def test_build_index_counts():
     idx = build_index(docs_from([("d1", "a b a")]))
     assert idx.collection_tf["a"] == 2
-    assert list(idx.positions("a", 0)) == [0, 2]
+    # "a" sits at positions 0 and 2: one gap of two, no adjacent pair
+    assert window_tf(idx, 0, 2, ["a", "a"]) == 1
+    assert window_tf(idx, 0, 1, ["a", "a"]) == 0
     assert idx.collection_length == 3
     assert idx.doc_lengths.tolist() == [3]
 
@@ -345,3 +355,146 @@ def test_read_documents(tmp_path):
     bad.write_text('{"id": "d1"}\n')
     with pytest.raises(FormatError):
         list(read_documents(str(bad)))
+
+
+# -- index files ---------------------------------------------------------------
+
+
+def test_index_file_round_trip(tmp_path):
+    docs = [
+        Document("d\n1", ["é", "b"]),
+        Document("", []),
+        Document("ü x", ["b", "é", "é", "b"]),
+    ]
+    path = str(tmp_path / "idx.bin")
+    for idx in (build_index([]), build_index(docs)):
+        save_index(idx, path)
+        back = load_index(path)
+        assert back.doc_ids == idx.doc_ids and back.vocab == idx.vocab
+        assert back.doc_lengths.tolist() == idx.doc_lengths.tolist()
+        assert back.tokens.tolist() == idx.tokens.tolist()
+        assert back.collection_tf == idx.collection_tf
+    q = Combine((Term("b"), Window(2, ("b", "b"))))
+    assert search(back, q, 3).entries == search(idx, q, 3).entries
+
+
+# -- fast paths against references on random collections ----------------------
+
+DOC_TOKENS = ["a", "b", "c", "the", "of"]  # "a", "the" and "of" are default stopwords
+QUERY_TOKENS = ["a", "b", "c", "z"]  # "z" never occurs
+
+collections = st.lists(st.lists(st.sampled_from(DOC_TOKENS), max_size=8), min_size=1, max_size=6)
+patterns = st.lists(st.sampled_from(QUERY_TOKENS), min_size=1, max_size=3)
+leaves = st.one_of(
+    st.sampled_from(QUERY_TOKENS).map(Term),
+    st.builds(lambda n, toks: Window(n, tuple(toks)), st.integers(1, 4), patterns),
+)
+queries = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Combine(tuple(cs))),
+        st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]), children), min_size=1, max_size=3)
+        .map(lambda es: Weight(tuple(es))),
+    ),
+    max_leaves=6,
+)
+
+
+def collection_of(token_lists):
+    """Documents whose id order differs from insertion order ("d10" < "d2")."""
+    return [Document(f"d{7 * i % 11}", list(toks)) for i, toks in enumerate(token_lists)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=collections, n=st.integers(1, 10), pattern=patterns)
+@example(docs=[["a"], ["b"]], n=3, pattern=["a", "b"])  # would straddle the boundary
+@example(docs=[["a", "a", "a"], []], n=2, pattern=["a", "a"])  # repeated token, empty doc
+@example(docs=[["c", "a"]], n=10, pattern=["c", "a", "a"])  # n beyond the document
+def test_window_tf_vector_matches_oracle(docs, n, pattern):
+    idx = build_index(collection_of(docs))
+    tf = [window_tf_oracle(toks, n, pattern) for toks in docs]
+    assert _window_tf(idx, n, pattern).tolist() == tf
+    assert [window_tf(idx, i, n, pattern) for i in range(len(docs))] == tf
+    if idx.collection_length:
+        want = _dirichlet(np.array(tf, dtype=float), sum(tf), idx.doc_lengths,
+                          idx.collection_length, DEFAULT_MU)
+        assert np.array_equal(_score_vector(idx, Window(n, tuple(pattern)), DEFAULT_MU), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=collections, q=queries, k=st.integers(1, 8))
+def test_search_matches_sorted_and_naive_ranking(docs, q, k):
+    collection = collection_of(docs)
+    idx = build_index(collection)
+    assume(idx.collection_length > 0)
+    got = search(idx, q, k).entries
+    # the top-k loop search used before lexsort: every document sorted in Python
+    scores = _score_vector(idx, q, DEFAULT_MU)
+    order = sorted(range(idx.n_docs), key=lambda i: (-scores[i], idx.doc_ids[i]))
+    assert got == [(idx.doc_ids[i], float(scores[i])) for i in order[:k]]
+    raw = [(d.doc_id, d.tokens) for d in collection]
+    want = naive_ranking(raw, q, k)
+    assert [s for _d, s in got] == pytest.approx([s for _d, s in want], rel=1e-12)
+    for (d_got, s_got), (d_want, _s) in zip(got, want):
+        if d_got != d_want:  # documents may swap only on a tie within rounding
+            assert naive_score(raw, q, d_got) == pytest.approx(s_got, rel=1e-12)
+
+
+def prf_expand_loop(idx, docs, q, fb_docs, fb_terms, orig_weight, stopwords, mu=DEFAULT_MU):
+    """Feedback as a loop over per-term postings rebuilt from the raw tokens."""
+    if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
+        return q
+    top = search(idx, q, fb_docs, mu=mu).entries
+    if not top:
+        return q
+    scores = np.array([s for _d, s in top])
+    soft = np.exp(scores - scores.max())
+    soft /= soft.sum()
+
+    positions = {}
+    for ordinal, doc in enumerate(docs):
+        per_token = {}
+        for pos, tok in enumerate(doc.tokens):
+            per_token.setdefault(tok, []).append(pos)
+        for tok, plist in per_token.items():
+            positions.setdefault(tok, []).append((ordinal, plist))
+    postings = {
+        tok: (np.array([o for o, _p in entries]), [np.array(p) for _o, p in entries])
+        for tok, entries in positions.items()
+    }
+    excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
+    ordinals = [idx.ordinal(d) for d, _s in top]
+    weights = {}
+    for tok, (post_ordinals, plists) in postings.items():
+        if tok in excluded:
+            continue
+        for rank, ordinal in enumerate(ordinals):
+            pos = int(np.searchsorted(post_ordinals, ordinal))
+            if pos < post_ordinals.size and post_ordinals[pos] == ordinal:
+                dlen = len(docs[ordinal].tokens)
+                if dlen:
+                    weights[tok] = weights.get(tok, 0.0) + float(
+                        soft[rank] * plists[pos].size / dlen
+                    )
+    if not weights:
+        return q
+    best = sorted(weights.items(), key=lambda e: (-e[1], e[0]))[:fb_terms]
+    feedback = Weight(tuple((w, Term(t)) for t, w in best))
+    return Weight(((orig_weight, q), (1.0 - orig_weight, feedback)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    docs=collections,
+    q=queries,
+    fb_docs=st.integers(1, 7),
+    fb_terms=st.integers(1, 5),
+    orig_weight=st.sampled_from([0.3, 0.5]),
+    stopwords=st.none() | st.frozensets(st.sampled_from(DOC_TOKENS)),
+)
+def test_prf_matches_loop_reference(docs, q, fb_docs, fb_terms, orig_weight, stopwords):
+    collection = collection_of(docs)
+    idx = build_index(collection)
+    assume(idx.collection_length > 0)
+    got = prf_expand(idx, q, fb_docs, fb_terms, orig_weight, stopwords)
+    assert got == prf_expand_loop(idx, collection, q, fb_docs, fb_terms, orig_weight, stopwords)
