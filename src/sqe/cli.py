@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import evaluation, pipeline
 from .cycle_analysis import cycle_length_stats, enumerate_cycles
-from .entity_linker import EntityLinker, InputRequest, load_stop_titles
+from .entity_linker import InputRequest
 from .errors import SqeError
 from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
@@ -86,18 +86,11 @@ def _resolve_entities(g, args) -> list[int]:
                 raise SqeError(f"no article titled {title!r}")
             nodes.append(node)
     elif args.text:
-        linker = _make_linker(g, args)
+        linker = pipeline.make_linker(g, args.max_ngram, args.stop_titles)
         nodes = linker.link(InputRequest("cli", args.text)).input_nodes
     else:
         raise SystemExit(_usage_error("provide --entities or --text"))
     return nodes
-
-
-def _make_linker(g, args) -> EntityLinker:
-    stop = None
-    if getattr(args, "stop_titles", None):
-        stop = load_stop_titles(args.stop_titles)
-    return EntityLinker(g, max_ngram=getattr(args, "max_ngram", 8), stop_titles=stop)
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:
@@ -140,7 +133,7 @@ def cmd_index(args) -> int:
 
 def cmd_link(args) -> int:
     g = _load_kb(args)
-    linker = _make_linker(g, args)
+    linker = pipeline.make_linker(g, args.max_ngram, args.stop_titles)
     linked = linker.link(InputRequest("cli", args.text))
     with _output(args.out) as out:
         for node in linked.input_nodes:
@@ -298,7 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
     _kb_flags(p)
     p.add_argument("--text", required=True)
     p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=int, default=8)
+    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_link)
 
@@ -308,7 +301,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", nargs="+", help="explicit article titles")
     p.add_argument("--text", help="link entities from request text instead")
     p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=int, default=8)
+    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_expand)
 
@@ -326,7 +319,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", nargs="+")
     p.add_argument("--motif", choices=["triangular", "square", "both"])
     p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=int, default=8)
+    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_query)
 

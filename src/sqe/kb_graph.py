@@ -6,28 +6,32 @@ The graph is a typed directed multigraph with three edge kinds:
 * ``AC``  article belongs to category
 * ``CC``  category belongs to category
 
-A :class:`KBGraph` is immutable once built; every read operation is safe
-to call concurrently.  Parallel edges of the same kind between the same
-ordered pair are deduplicated on load so that motif counting is
-well-defined.
+Adjacency is held in CSR form: per edge kind and direction, one
+``indptr`` array of ``len(nodes) + 1`` offsets and one ``indices`` array,
+so node ``i``'s row is ``indices[indptr[i]:indptr[i + 1]]``, sorted
+ascending.  A :class:`KBGraph` is immutable once built; every read
+operation is safe to call concurrently.  Parallel edges of the same kind
+between the same ordered pair are deduplicated on load so that motif
+counting is well-defined.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .archive import ArchiveFormat
 from .errors import FormatError, KindMismatch, NotAnArticle, NotACategory
 from .text import normalize_title
 
 NodeId = int
 
-_SNAPSHOT_MAGIC = "sqe-kb-snapshot"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_FORMAT = ArchiveFormat(  # format version 1 was a Python object dump
+    "sqe-kb-snapshot", 2, "graph snapshot", "re-create it with `sqe ingest --out`"
+)
 
 
 class NodeKind(Enum):
@@ -89,29 +93,19 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class KBGraph:
-    """Immutable typed graph with per-kind sorted adjacency.
+    """Immutable typed graph with one sorted CSR row per node, kind and direction.
 
+    ``_out[kind]`` and ``_in[kind]`` are ``(indptr, indices)`` pairs.
     Construct through :func:`load_graph`, :func:`build_graph` or
     :func:`load_snapshot`, not directly.
     """
 
-    __slots__ = ("nodes", "_out", "_in", "_title_index")
-
-    def __init__(
-        self,
-        nodes: list[KBNode],
-        out_adj: dict[EdgeKind, list[np.ndarray]],
-        in_adj: dict[EdgeKind, list[np.ndarray]],
-        title_index: dict[tuple[NodeKind, str], NodeId],
-    ):
-        self.nodes = nodes
-        self._out = out_adj
-        self._in = in_adj
-        self._title_index = title_index
+    nodes: list[KBNode]
+    _out: dict[EdgeKind, tuple[memoryview, np.ndarray]]
+    _in: dict[EdgeKind, tuple[memoryview, np.ndarray]]
+    _title_index: dict[tuple[NodeKind, str], NodeId]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -145,18 +139,20 @@ class KBGraph:
 
     def out_neighbors(self, i: NodeId, kind: EdgeKind) -> np.ndarray:
         """Sorted, deduplicated outgoing neighbor ids. Do not mutate."""
-        return self._out[kind][i]
+        indptr, indices = self._out[kind]
+        return indices[indptr[i] : indptr[i + 1]]
 
     def in_neighbors(self, i: NodeId, kind: EdgeKind) -> np.ndarray:
-        return self._in[kind][i]
+        indptr, indices = self._in[kind]
+        return indices[indptr[i] : indptr[i + 1]]
 
     def has_edge(self, src: NodeId, dst: NodeId, kind: EdgeKind) -> bool:
-        arr = self._out[kind][src]
+        arr = self.out_neighbors(src, kind)
         pos = int(np.searchsorted(arr, dst))
         return bool(pos < arr.size and arr[pos] == dst)
 
     def edge_count(self, kind: EdgeKind) -> int:
-        return sum(a.size for a in self._out[kind])
+        return int(self._out[kind][0][-1])
 
     # -- spec operations ---------------------------------------------------
 
@@ -173,14 +169,14 @@ class KBGraph:
         if not self.is_article(a):
             raise NotAnArticle(f"node {a} is not an article")
         return np.intersect1d(
-            self._out[EdgeKind.AA][a], self._in[EdgeKind.AA][a], assume_unique=True
+            self.out_neighbors(a, EdgeKind.AA), self.in_neighbors(a, EdgeKind.AA), assume_unique=True
         )
 
     def categories_of(self, a: NodeId) -> set[NodeId]:
         """Categories reachable by one AC edge from article ``a``."""
         if not self.is_article(a):
             raise NotAnArticle(f"node {a} is not an article")
-        return set(map(int, self._out[EdgeKind.AC][a]))
+        return set(self.out_neighbors(a, EdgeKind.AC).tolist())
 
     def category_linked(self, c1: NodeId, c2: NodeId) -> bool:
         """True iff a CC containment edge exists in either direction."""
@@ -190,53 +186,35 @@ class KBGraph:
 
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""
-        n_articles = sum(1 for n in self.nodes if n.kind is NodeKind.ARTICLE)
-        counts = {k: self.edge_count(k) for k in EdgeKind}
-        no_cat = [
-            n.id
-            for n in self.nodes
-            if n.kind is NodeKind.ARTICLE and self._out[EdgeKind.AC][n.id].size == 0
-        ]
-        orphans = [
-            n.id
-            for n in self.nodes
-            if n.kind is NodeKind.CATEGORY
-            and all(
-                self._out[k][n.id].size == 0 and self._in[k][n.id].size == 0
-                for k in EdgeKind
-            )
-        ]
+        is_article = np.array([n.kind is NodeKind.ARTICLE for n in self.nodes], dtype=bool)
+        degree = sum(np.diff(adj[k][0]) for adj in (self._out, self._in) for k in EdgeKind)
+        no_cat = is_article & (np.diff(self._out[EdgeKind.AC][0]) == 0)
         return ValidationReport(
-            n_articles=n_articles,
-            n_categories=len(self.nodes) - n_articles,
-            edge_counts=counts,
-            articles_without_category=no_cat,
-            orphan_categories=orphans,
+            n_articles=int(is_article.sum()),
+            n_categories=int((~is_article).sum()),
+            edge_counts={k: self.edge_count(k) for k in EdgeKind},
+            articles_without_category=np.flatnonzero(no_cat).tolist(),
+            orphan_categories=np.flatnonzero(~is_article & (degree == 0)).tolist(),
         )
 
 
-def _group_by(keys: np.ndarray, values: np.ndarray, n_nodes: int) -> list[np.ndarray]:
-    """Split edge endpoints into per-node sorted arrays."""
-    if keys.size == 0:
-        return [_EMPTY] * n_nodes
-    order = np.lexsort((values, keys))
-    keys = keys[order]
-    values = values[order]
-    bounds = np.searchsorted(keys, np.arange(n_nodes + 1))
-    return [values[bounds[i] : bounds[i + 1]] for i in range(n_nodes)]
+def _group_by(keys: np.ndarray, values: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray]:
+    """CSR ``(indptr, indices)``: each key's distinct values, sorted."""
+    pairs = np.sort(keys * n_nodes + values)  # ordered by (key, value)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # merges parallel edges; ids are >= 0
+    keys, values = np.divmod(pairs, n_nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_nodes))))
+    return memoryview(indptr).toreadonly(), values  # Python-int items slice rows ~2x faster
 
 
-def _assemble(
-    nodes: list[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]
-) -> KBGraph:
+def _assemble(nodes: list[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]) -> KBGraph:
+    """The graph over ``nodes`` from each edge kind's ``(src, dst)`` id pairs."""
     n = len(nodes)
-    out_adj: dict[EdgeKind, list[np.ndarray]] = {}
-    in_adj: dict[EdgeKind, list[np.ndarray]] = {}
+    out_adj, in_adj = {}, {}
     for kind, pairs in edges_by_kind.items():
-        if pairs.size:
-            pairs = np.unique(pairs, axis=0)  # dedup parallel edges
-        out_adj[kind] = _group_by(pairs[:, 0], pairs[:, 1], n) if pairs.size else [_EMPTY] * n
-        in_adj[kind] = _group_by(pairs[:, 1], pairs[:, 0], n) if pairs.size else [_EMPTY] * n
+        src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        out_adj[kind] = _group_by(src, dst, n)
+        in_adj[kind] = _group_by(dst, src, n)
     title_index = {(nd.kind, normalize_title(nd.title)): nd.id for nd in nodes}
     return KBGraph(nodes, out_adj, in_adj, title_index)
 
@@ -298,9 +276,7 @@ def _make_edges(
                 f"got {src.kind.value}->{dst.kind.value}",
             )
         buckets[kind].append((src.id, dst.id))
-    return {
-        k: np.array(v, dtype=np.int64).reshape(-1, 2) for k, v in buckets.items()
-    }
+    return {k: np.array(v, dtype=np.int64).reshape(-1, 2) for k, v in buckets.items()}
 
 
 def build_graph(
@@ -338,41 +314,45 @@ def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
     row raises :class:`FormatError` (or :class:`KindMismatch`) carrying
     its line number.  Duplicate edge rows are deduplicated silently.
     """
-    node_rows = [r for r in _read_tsv(nodes_path)]
-    node_list = _make_nodes(node_rows, nodes_path)
-    edge_rows = [r for r in _read_tsv(edges_path)]
-    edge_arrays = _make_edges(edge_rows, node_list, edges_path)
-    return _assemble(node_list, edge_arrays)
+    node_list = _make_nodes(_read_tsv(nodes_path), nodes_path)
+    return _assemble(node_list, _make_edges(_read_tsv(edges_path), node_list, edges_path))
 
 
 def save_snapshot(g: KBGraph, path: str) -> None:
-    """Write a binary snapshot that round-trips to identical counts."""
-    payload = {
-        "magic": _SNAPSHOT_MAGIC,
-        "version": _SNAPSHOT_VERSION,
-        "nodes": [(nd.ext_id, nd.kind.value, nd.title) for nd in g.nodes],
-        "edges": {
-            k.value: np.array(
-                [(s, int(d)) for s in range(len(g)) for d in g.out_neighbors(s, k)],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            for k in EdgeKind
-        },
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
+    arrays = {"kinds": np.frombuffer("".join(n.kind.value for n in g.nodes).encode(), np.uint8)}
+    for k in EdgeKind:
+        indptr, indices = g._out[k]
+        arrays[f"{k.value}_src"] = np.repeat(np.arange(len(g), dtype=np.int32), np.diff(indptr))
+        arrays[f"{k.value}_dst"] = indices.astype(np.int32)
+    strings = {"ext_ids": [n.ext_id for n in g.nodes], "titles": [n.title for n in g.nodes]}
+    _SNAPSHOT_FORMAT.save(path, arrays, strings)
 
 
 def load_snapshot(path: str) -> KBGraph:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("magic") != _SNAPSHOT_MAGIC:
-        raise FormatError(0, f"{path}: not a graph snapshot")
-    if payload.get("version") != _SNAPSHOT_VERSION:
-        raise FormatError(
-            0, f"{path}: snapshot format version {payload.get('version')!r}, this build reads "
-            f"version {_SNAPSHOT_VERSION}; re-create it with `sqe ingest --out`"
-        )
-    nodes = _make_nodes(payload["nodes"], path)
-    edges = {EdgeKind(k): np.asarray(v, dtype=np.int64) for k, v in payload["edges"].items()}
+    """Read a file written by :func:`save_snapshot`; its rows get the checks TSV rows get."""
+    edge_columns = [f"{k.value}_{end}" for k in EdgeKind for end in ("src", "dst")]
+    columns = _SNAPSHOT_FORMAT.load(path, ["kinds", *edge_columns], ("ext_ids", "titles"))
+    ext_ids, kinds, titles = columns["ext_ids"], columns["kinds"], columns["titles"]
+    if not (kinds.ndim == 1 and kinds.dtype == np.uint8
+            and kinds.size == len(ext_ids) == len(titles)):
+        raise _SNAPSHOT_FORMAT.error(path, "node columns do not fit together")
+    nodes = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
+    edges = {}
+    for kind in EdgeKind:
+        src, dst = columns[f"{kind.value}_src"], columns[f"{kind.value}_dst"]
+        want_src, want_dst = (ord(k.value) for k in _EDGE_ENDPOINTS[kind])
+        if not (src.ndim == dst.ndim == 1 and src.dtype.kind == dst.dtype.kind == "i"
+                and src.size == dst.size):
+            problem = "are not int pairs of equal length"
+        elif ((src < 0) | (src >= len(nodes)) | (dst < 0) | (dst >= len(nodes))).any():
+            problem = "name unknown node ids"
+        elif (src == dst).any():
+            problem = "hold a self-loop"
+        elif (kinds[src] != want_src).any() or (kinds[dst] != want_dst).any():
+            problem = f"join nodes of the wrong kinds (needs {kind.value[0]}->{kind.value[1]})"
+        else:
+            edges[kind] = np.stack([src, dst], axis=1)
+            continue
+        raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge columns {problem}")
     return _assemble(nodes, edges)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .errors import EmptyInput, NotAnArticle
 from .kb_graph import EdgeKind, KBGraph, NodeId
 
@@ -79,19 +81,15 @@ def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
     input_set = set(nodes)
     weights: Counter[NodeId] = Counter()
     for i in nodes:
-        cats_i = sorted(g.categories_of(i))
-        if not cats_i:
-            continue
+        # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
+        linked: Counter[NodeId] = Counter()
+        for ci in g.categories_of(i):
+            cc_row = np.union1d(g.out_neighbors(ci, EdgeKind.CC), g.in_neighbors(ci, EdgeKind.CC))
+            linked.update(cc_row.tolist())
         for a in map(int, g.doubly_linked_neighbors(i)):
             if a in input_set:
                 continue
-            pairs = 0
-            for ca in g.categories_of(a):
-                for ci in cats_i:
-                    if ci != ca and (
-                        g.has_edge(ci, ca, EdgeKind.CC) or g.has_edge(ca, ci, EdgeKind.CC)
-                    ):
-                        pairs += 1
+            pairs = sum(linked[ca] for ca in g.categories_of(a))
             if pairs:
                 weights[a] += pairs
     return QueryGraph(frozenset(nodes), dict(weights), MotifKind.SQUARE)

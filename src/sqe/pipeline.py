@@ -167,9 +167,10 @@ def merge_lists(
     return RankedList(lists[0].request_id, entries, lists[0].tag)
 
 
-def _linker_from_config(g: KBGraph, cfg: PipelineConfig) -> EntityLinker:
-    stop = load_stop_titles(cfg.stop_titles_path) if cfg.stop_titles_path else None
-    return EntityLinker(g, max_ngram=cfg.max_ngram, stop_titles=stop)
+def make_linker(g: KBGraph, max_ngram: int, stop_titles_path: str | None) -> EntityLinker:
+    """The linker for a graph, with stop titles read from a file if one is given."""
+    stop = load_stop_titles(stop_titles_path) if stop_titles_path else None
+    return EntityLinker(g, max_ngram=max_ngram, stop_titles=stop)
 
 
 def run_request_detailed(
@@ -182,7 +183,7 @@ def run_request_detailed(
     """One request through link, per-plan expansion, search and merge."""
     report = RequestReport(req.request_id)
     if linker is None:
-        linker = _linker_from_config(g, cfg)
+        linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
     stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
 
     t0 = time.perf_counter()
@@ -249,7 +250,7 @@ def run_batch(
     jobs: int = 1,
 ) -> tuple[list[RankedList], list[RequestReport]]:
     """All topics, optionally in parallel; outputs stay in topic order."""
-    linker = _linker_from_config(g, cfg)
+    linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
     if jobs <= 1:
         pairs = [run_request_detailed(g, idx, req, cfg, linker) for req in topics]
     else:

@@ -13,13 +13,13 @@ Indexes are immutable after build; concurrent searches are safe.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .archive import ArchiveFormat
 from .errors import DuplicateDocId, EmptyCollection, FormatError
 from .query_lang import Combine, QueryNode, Term, Weight, Window
 from .text import tokenize
@@ -141,68 +141,23 @@ def build_index(docs: Iterable[Document]) -> Index:
 
 # -- index files ----------------------------------------------------------------
 
-_INDEX_MAGIC = "sqe-index"
-_INDEX_VERSION = 2  # version 1 was a pickled Index object
-_ZIP_MAGIC = b"PK\x03\x04"
-_REBUILD = "rebuild it with `sqe index`"
-
-
-def _pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 bytes of all strings back to back, and each string's end offset."""
-    encoded = [s.encode("utf-8") for s in strings]
-    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), ends
-
-
-def _unpack_strings(blob: np.ndarray, ends: np.ndarray) -> list[str]:
-    raw = blob.tobytes()
-    ends = ends.tolist()
-    return [raw[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends)]
+_INDEX_FORMAT = ArchiveFormat("sqe-index", 2, "index", "rebuild it with `sqe index`")
 
 
 def save_index(idx: Index, path: str) -> None:
-    """Write the index columns as a versioned, uncompressed ``.npz`` file."""
-    doc_ids, doc_id_ends = _pack_strings(idx.doc_ids)
-    vocab, vocab_ends = _pack_strings(idx.vocab)
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            magic=np.array(_INDEX_MAGIC),
-            version=np.array(_INDEX_VERSION),
-            doc_ids=doc_ids,
-            doc_id_ends=doc_id_ends,
-            vocab=vocab,
-            vocab_ends=vocab_ends,
-            doc_lengths=idx.doc_lengths,
-            tokens=idx.tokens,
-        )
+    """Write the index columns as a versioned ``.npz`` file."""
+    _INDEX_FORMAT.save(
+        path,
+        {"doc_lengths": idx.doc_lengths, "tokens": idx.tokens},
+        {"doc_ids": idx.doc_ids, "vocab": idx.vocab},
+    )
 
 
 def load_index(path: str) -> Index:
-    """Read a file written by ``save_index``; loading never unpickles."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            raise FormatError(
-                0, f"{path}: not an index file (indexes older than format "
-                f"version {_INDEX_VERSION} were pickles; {_REBUILD})"
-            )
-        fh.seek(0)
-        try:
-            with np.load(fh, allow_pickle=False) as data:
-                if data["magic"].item() != _INDEX_MAGIC:
-                    raise FormatError(0, f"{path}: not an index file")
-                version = int(data["version"])
-                if version != _INDEX_VERSION:
-                    raise FormatError(
-                        0, f"{path}: index format version {version}, this build reads "
-                        f"version {_INDEX_VERSION}; {_REBUILD}"
-                    )
-                doc_ids = _unpack_strings(data["doc_ids"], data["doc_id_ends"])
-                vocab = _unpack_strings(data["vocab"], data["vocab_ends"])
-                lengths, tokens = data["doc_lengths"], data["tokens"]
-        except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-            reason = f"{path}: corrupt or truncated index ({exc}); {_REBUILD}"
-            raise FormatError(0, reason) from None
+    """Read a file written by ``save_index``; see :mod:`sqe.archive`."""
+    columns = _INDEX_FORMAT.load(path, ("doc_lengths", "tokens"), ("doc_ids", "vocab"))
+    doc_ids, vocab = columns["doc_ids"], columns["vocab"]
+    lengths, tokens = columns["doc_lengths"], columns["tokens"]
     consistent = (
         lengths.ndim == tokens.ndim == 1
         and lengths.dtype.kind == tokens.dtype.kind == "i"
@@ -212,7 +167,7 @@ def load_index(path: str) -> Index:
         and (tokens.size == 0 or (tokens.min() >= 0 and tokens.max() < len(vocab)))
     )
     if not consistent:
-        raise FormatError(0, f"{path}: index columns do not fit together; {_REBUILD}")
+        raise _INDEX_FORMAT.error(path, "index columns do not fit together")
     return Index(doc_ids, lengths, vocab, tokens)
 
 

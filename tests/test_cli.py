@@ -263,3 +263,70 @@ def test_foreign_or_stale_index_exits_2(kind, tmp_path, graffiti_kb, graffiti_in
     assert err.startswith("sqe: error:") and err.count("\n") == 1
     if kind in ("pickle", "bumped-version"):
         assert "rebuild it with `sqe index`" in err
+
+
+def test_max_ngram_below_one_exits_1(cable_files, capsys):
+    nodes, edges = cable_files
+    code = main(["link", "--nodes", nodes, "--edges", edges, "--text", "cable car",
+                 "--max-ngram", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "sqe link: error: argument --max-ngram: must be an integer >= 1, got '0'"
+    ]
+
+
+def _edited_snapshot(**changes):
+    """Rewrite the good snapshot with columns replaced; a change of None drops one."""
+    def make(kb: Path, index: Path, path: Path) -> None:
+        with np.load(kb) as data:
+            arrays = dict(data)
+        for name, change in changes.items():
+            if change is None:
+                del arrays[name]
+            else:
+                arrays[name] = change(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return make
+
+
+def _with_first(column: np.ndarray, value) -> np.ndarray:
+    out = column.copy()
+    out[0] = value
+    return out
+
+
+# the graffiti graph: articles are nodes 0-8, categories 9-14
+STALE_SNAPSHOTS = {
+    "index": lambda kb, index, path: path.write_bytes(index.read_bytes()),
+    "tsv": lambda kb, index, path: path.write_text("73\tgraffiti street art\n"),
+    "truncated": lambda kb, index, path: path.write_bytes(kb.read_bytes()[:-100]),
+    "bumped-version": _edited_snapshot(version=lambda a: a["version"] + 1),
+    # snapshots were pickled dicts before the columnar file format
+    "pickle": lambda kb, index, path: path.write_bytes(pickle.dumps(
+        {"magic": "sqe-kb-snapshot", "version": 1, "nodes": [("a1", "A", "Graffiti")],
+         "edges": {"AA": np.zeros((0, 2), dtype=np.int64)}}, pickle.HIGHEST_PROTOCOL
+    )),
+    "missing-column": _edited_snapshot(titles=None),
+    "unequal-pairs": _edited_snapshot(CC_src=lambda a: a["CC_src"][:-1]),
+    "float-ids": _edited_snapshot(AA_src=lambda a: a["AA_src"].astype(float)),
+    "bad-id": _edited_snapshot(AA_dst=lambda a: _with_first(a["AA_dst"], 99)),
+    "self-loop": _edited_snapshot(AA_dst=lambda a: _with_first(a["AA_dst"], a["AA_src"][0])),
+    "wrong-dst-kind": _edited_snapshot(AC_dst=lambda a: _with_first(a["AC_dst"], 1)),
+    "wrong-src-kind": _edited_snapshot(CC_src=lambda a: _with_first(a["CC_src"], 0)),
+    "bad-node-kind": _edited_snapshot(kinds=lambda a: _with_first(a["kinds"], ord("Q"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STALE_SNAPSHOTS))
+def test_foreign_or_stale_snapshot_exits_2(kind, tmp_path, graffiti_kb, graffiti_index_file,
+                                           capsys):
+    path = tmp_path / "kb-bad.bin"
+    STALE_SNAPSHOTS[kind](Path(graffiti_kb), Path(graffiti_index_file), path)
+    code = main(["link", "--kb", str(path), "--text", "graffiti"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sqe: error:") and err.count("\n") == 1
+    if kind in ("pickle", "bumped-version"):
+        assert "re-create it with `sqe ingest --out`" in err

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqe
 from sqe.errors import FormatError, KindMismatch, NotAnArticle, NotACategory
 from sqe.kb_graph import (
     EdgeKind,
@@ -202,25 +205,60 @@ def test_edge_kind_invariants_hold_by_full_scan():
                 assert src != dst
 
 
-def test_snapshot_round_trip(tmp_path, graffiti_graph):
+def _assert_same_graph(g1, g2):
+    assert [(n.id, n.kind, n.title, n.ext_id) for n in g1.nodes] == [
+        (n.id, n.kind, n.title, n.ext_id) for n in g2.nodes
+    ]
+    for k in EdgeKind:
+        for i in range(len(g1)):
+            assert np.array_equal(g1.out_neighbors(i, k), g2.out_neighbors(i, k))
+            assert np.array_equal(g1.in_neighbors(i, k), g2.in_neighbors(i, k))
+    assert g1.validate() == g2.validate()
+
+
+def test_snapshot_round_trip(tmp_path):
+    nodes, edges = random_graph(random.Random(17), 80)
+    nodes += [("lone-a", "A", "Lone article"), ("lone-c", "C", "Lone category")]
+    g = build_graph(nodes, edges + edges[::5])  # repeated rows are parallel edges
+    rep = g.validate()
+    assert len(rep.articles_without_category) >= 1 and len(rep.orphan_categories) >= 1
     path = tmp_path / "kb.bin"
-    save_snapshot(graffiti_graph, str(path))
+    save_snapshot(g, str(path))
+    _assert_same_graph(g, load_snapshot(str(path)))
+
+
+def test_empty_snapshot_round_trip(tmp_path):
+    g = build_graph([], [])
+    path = tmp_path / "kb.bin"
+    save_snapshot(g, str(path))
     g2 = load_snapshot(str(path))
-    r1, r2 = graffiti_graph.validate(), g2.validate()
-    assert r1 == r2
-    assert [n.title for n in g2.nodes] == [n.title for n in graffiti_graph.nodes]
+    assert len(g2) == 0
+    _assert_same_graph(g, g2)
 
 
 def test_snapshot_rejects_other_files(tmp_path):
-    import pickle
-
     path = tmp_path / "junk.bin"
-    path.write_bytes(pickle.dumps({"something": 1}))
+    with open(path, "wb") as fh:
+        np.savez(fh, something=np.array(1))
     with pytest.raises(FormatError):
         load_snapshot(str(path))
     # the right magic with another format version
-    path.write_bytes(
-        pickle.dumps({"magic": "sqe-kb-snapshot", "version": 99, "nodes": [], "edges": {}})
-    )
+    with open(path, "wb") as fh:
+        np.savez(fh, magic=np.array("sqe-kb-snapshot"), version=np.array(99))
     with pytest.raises(FormatError, match="version 99"):
         load_snapshot(str(path))
+
+
+def test_package_never_imports_pickle():
+    """Indexes and snapshots are read without unpickling, so nothing may import it."""
+    for path in Path(sqe.__file__).parent.rglob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] in ("pickle", "_pickle") for m in modules), path
+        assert "allow_pickle=True" not in source, path
