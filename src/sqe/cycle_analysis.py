@@ -122,16 +122,10 @@ def extra_edge_density(g: KBGraph, c: Cycle) -> float:
     """
     length = len(c)
     slots = [(c.nodes[i], c.nodes[(i + 1) % length]) for i in range(length)]
-    distinct: set[tuple[NodeId, NodeId, EdgeKind]] = set()
-    e_max = 0
-    for u, v in slots:
-        e_max += 2 if g.kind(u) is g.kind(v) else 1
-        for kind in EdgeKind:
-            if g.has_edge(u, v, kind):
-                distinct.add((u, v, kind))
-            if g.has_edge(v, u, kind):
-                distinct.add((v, u, kind))
-    return max(0, len(distinct) - length) / e_max
+    e_max = sum(2 if g.kind(u) is g.kind(v) else 1 for u, v in slots)
+    pairs = {frozenset(slot) for slot in slots}  # a 2-cycle's two slots are one pair
+    n_edges = sum(_edges_between(g, *pair) for pair in pairs)
+    return max(0, n_edges - length) / e_max
 
 
 def cycle_length_stats(g: KBGraph, cycles: Iterable[Cycle]) -> list[tuple[int, int, float, float]]:

@@ -39,18 +39,15 @@ class NodeKind(Enum):
     CATEGORY = "C"
 
 
-class EdgeKind(Enum):
+class EdgeKind(Enum):  # the two letters are the kinds of the source and the destination
     AA = "AA"
     AC = "AC"
     CC = "CC"
 
 
-# endpoint kinds each edge kind requires: (src kind, dst kind)
-_EDGE_ENDPOINTS = {
-    EdgeKind.AA: (NodeKind.ARTICLE, NodeKind.ARTICLE),
-    EdgeKind.AC: (NodeKind.ARTICLE, NodeKind.CATEGORY),
-    EdgeKind.CC: (NodeKind.CATEGORY, NodeKind.CATEGORY),
-}
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_EDGE_KINDS = {k.value: k for k in EdgeKind}
+_UNKNOWN_ID, _SELF_LOOP, _WRONG_KINDS = "unknown node id", "self-loop", "wrong endpoint kinds"
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,6 @@ class KBGraph:
 
     def article_ids(self) -> list[NodeId]:
         return [n.id for n in self.nodes if n.kind is NodeKind.ARTICLE]
-
-    def category_ids(self) -> list[NodeId]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.CATEGORY]
 
     def node_by_title(self, kind: NodeKind, title: str) -> NodeId | None:
         return self._title_index.get((kind, normalize_title(title)))
@@ -207,82 +201,99 @@ def _group_by(keys: np.ndarray, values: np.ndarray, n_nodes: int) -> tuple[memor
     return memoryview(indptr).toreadonly(), values  # Python-int items slice rows ~2x faster
 
 
-def _assemble(nodes: list[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]) -> KBGraph:
-    """The graph over ``nodes`` from each edge kind's ``(src, dst)`` id pairs."""
-    n = len(nodes)
+def _assemble(
+    nodes: list[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray], source: str = "nodes"
+) -> KBGraph:
+    """The graph over ``nodes`` from each edge kind's ``(src, dst)`` id pairs.
+
+    Each title is normalized here, once; a node that repeats an earlier
+    normalized title of its kind raises with its line in ``source``.
+    """
+    title_index: dict[tuple[NodeKind, str], NodeId] = {}
+    for nd in nodes:
+        key = (nd.kind, normalize_title(nd.title))
+        if title_index.setdefault(key, nd.id) != nd.id:
+            raise FormatError(nd.id + 1, f"{source}: duplicate normalized title {key[1]!r} "
+                                         f"for kind {nd.kind.value}")
     out_adj, in_adj = {}, {}
     for kind, pairs in edges_by_kind.items():
         src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        out_adj[kind] = _group_by(src, dst, n)
-        in_adj[kind] = _group_by(dst, src, n)
-    title_index = {(nd.kind, normalize_title(nd.title)): nd.id for nd in nodes}
+        out_adj[kind] = _group_by(src, dst, len(nodes))
+        in_adj[kind] = _group_by(dst, src, len(nodes))
     return KBGraph(nodes, out_adj, in_adj, title_index)
+
+
+def _kind_bytes(nodes: Sequence[KBNode]) -> np.ndarray:
+    """Each node's kind letter as one byte: the snapshot's ``kinds`` column."""
+    return np.frombuffer("".join([nd.kind.value for nd in nodes]).encode(), np.uint8)
+
+
+def _edge_fault(kinds, src, dst, want_src, want_dst) -> tuple[int, str] | None:
+    """The index of the first edge that breaks an edge rule, and the rule.
+
+    Rules in the order tried: both ids name nodes, no self-loop, endpoint
+    kinds (``kinds`` holds each node's letter) equal to ``want_src`` and
+    ``want_dst``, given per edge or for all.  Every loader checks edges here.
+    """
+    known = (src >= 0) & (src < kinds.size) & (dst >= 0) & (dst < kinds.size)
+    kind_of = np.append(kinds, 0)  # an unknown id reads the 0 at index -1, which fits no edge
+    loop = src == dst
+    bad = np.flatnonzero(loop | (kind_of[np.where(known, src, -1)] != want_src)
+                         | (kind_of[np.where(known, dst, -1)] != want_dst))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, _UNKNOWN_ID if not known[i] else _SELF_LOOP if loop[i] else _WRONG_KINDS
 
 
 def _make_nodes(rows: Iterable[tuple[str, str, str]], source: str) -> list[KBNode]:
     nodes: list[KBNode] = []
     seen_ext: set[str] = set()
-    seen_title: set[tuple[NodeKind, str]] = set()
     for lineno, row in enumerate(rows, start=1):
         if len(row) != 3:
             raise FormatError(lineno, f"{source}: expected 3 columns, got {len(row)}")
         ext_id, kind_s, title = row
-        try:
-            kind = NodeKind(kind_s)
-        except ValueError:
-            raise FormatError(lineno, f"{source}: unknown node kind {kind_s!r}") from None
+        kind = _NODE_KINDS.get(kind_s)
+        if kind is None:
+            raise FormatError(lineno, f"{source}: unknown node kind {kind_s!r}")
         if not title.strip():
             raise FormatError(lineno, f"{source}: empty title")
         if ext_id in seen_ext:
             raise FormatError(lineno, f"{source}: duplicate node id {ext_id!r}")
-        key = (kind, normalize_title(title))
-        if key in seen_title:
-            raise FormatError(
-                lineno, f"{source}: duplicate normalized title {key[1]!r} for kind {kind.value}"
-            )
         seen_ext.add(ext_id)
-        seen_title.add(key)
-        nodes.append(KBNode(id=len(nodes), kind=kind, title=title, ext_id=ext_id))
+        nodes.append(KBNode(len(nodes), kind, title, ext_id))
     return nodes
 
 
-def _make_edges(
-    rows: Iterable[tuple[str, str, str]],
-    nodes: list[KBNode],
-    source: str,
-) -> dict[EdgeKind, np.ndarray]:
-    by_ext = {nd.ext_id: nd for nd in nodes}
-    buckets: dict[EdgeKind, list[tuple[int, int]]] = {k: [] for k in EdgeKind}
-    for lineno, row in enumerate(rows, start=1):
+def _make_edges(rows: Sequence[tuple[str, ...]], nodes: list[KBNode],
+                source: str) -> dict[EdgeKind, np.ndarray]:
+    """Each edge kind's ``(src, dst)`` id pairs; the earliest bad row raises."""
+    bad_row = (i for i, row in enumerate(rows) if len(row) != 3 or row[2] not in _EDGE_KINDS)
+    parsed = next(bad_row, len(rows))  # rows before the first that does not parse
+    ids = {nd.ext_id: nd.id for nd in nodes}
+    ends = [ids.get(ext, -1) for row in rows[:parsed] for ext in row[:2]]  # -1: an unknown id
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    kind_column = np.array([row[2] for row in rows[:parsed]], dtype="S2")
+    kinds, want = _kind_bytes(nodes), kind_column.view(np.uint8).reshape(-1, 2)
+    if fault := _edge_fault(kinds, *pairs.T, *want.T):  # want: each row's endpoint kind letters
+        i, rule = fault
+        src_s, dst_s, kind_s = rows[i]
+        if rule == _WRONG_KINDS:
+            got = f"{chr(kinds[pairs[i, 0]])}->{chr(kinds[pairs[i, 1]])}"
+            raise KindMismatch(i + 1, f"{source}: {kind_s} needs {kind_s[0]}->{kind_s[1]}, got {got}")
+        if rule == _SELF_LOOP:
+            raise FormatError(i + 1, f"{source}: self-loop on node {src_s!r}")
+        raise FormatError(i + 1, f"{source}: unknown node id {(dst_s if pairs[i, 0] >= 0 else src_s)!r}")
+    if parsed < len(rows):
+        row = rows[parsed]
         if len(row) != 3:
-            raise FormatError(lineno, f"{source}: expected 3 columns, got {len(row)}")
-        src_s, dst_s, kind_s = row
-        try:
-            kind = EdgeKind(kind_s)
-        except ValueError:
-            raise FormatError(lineno, f"{source}: unknown edge kind {kind_s!r}") from None
-        src = by_ext.get(src_s)
-        dst = by_ext.get(dst_s)
-        if src is None or dst is None:
-            missing = src_s if src is None else dst_s
-            raise FormatError(lineno, f"{source}: unknown node id {missing!r}")
-        if src.id == dst.id:
-            raise FormatError(lineno, f"{source}: self-loop on node {src_s!r}")
-        want_src, want_dst = _EDGE_ENDPOINTS[kind]
-        if src.kind is not want_src or dst.kind is not want_dst:
-            raise KindMismatch(
-                lineno,
-                f"{kind.value} needs {want_src.value}->{want_dst.value}, "
-                f"got {src.kind.value}->{dst.kind.value}",
-            )
-        buckets[kind].append((src.id, dst.id))
-    return {k: np.array(v, dtype=np.int64).reshape(-1, 2) for k, v in buckets.items()}
+            raise FormatError(parsed + 1, f"{source}: expected 3 columns, got {len(row)}")
+        raise FormatError(parsed + 1, f"{source}: unknown edge kind {row[2]!r}")
+    return {kind: pairs[kind_column == kind.value.encode()] for kind in EdgeKind}
 
 
-def build_graph(
-    nodes: Sequence[tuple[str, str, str]],
-    edges: Sequence[tuple[str, str, str]],
-) -> KBGraph:
+def build_graph(nodes: Sequence[tuple[str, str, str]],
+                edges: Sequence[tuple[str, str, str]]) -> KBGraph:
     """Build a graph from in-memory rows.
 
     Rows mirror the TSV formats: nodes as ``(ext_id, "A"|"C", title)``,
@@ -290,37 +301,33 @@ def build_graph(
     same errors as :func:`load_graph`, with row numbers as line numbers.
     """
     node_list = _make_nodes(nodes, "nodes")
-    edge_arrays = _make_edges(edges, node_list, "edges")
-    return _assemble(node_list, edge_arrays)
+    return _assemble(node_list, _make_edges(edges, node_list, "edges"))
 
 
 def _read_tsv(path: str) -> list[tuple[str, ...]]:
-    rows: list[tuple[str, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                rows.append(())  # keep line numbers aligned; caught as bad column count
-                continue
-            rows.append(tuple(line.split("\t")))
-    return rows
+    with open(path, encoding="utf-8") as fh:  # universal newlines: no "\r" is left
+        # an empty line is a row of no columns, so line numbers stay aligned
+        return [tuple(raw.rstrip("\n").split("\t")) if raw != "\n" else () for raw in fh]
 
 
 def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
     """Load a graph from node and edge TSV files.
 
     Node rows are ``<ext_id>\\t<A|C>\\t<title>``; edge rows are
-    ``<src_ext_id>\\t<dst_ext_id>\\t<AA|AC|CC>``.  The first malformed
-    row raises :class:`FormatError` (or :class:`KindMismatch`) carrying
-    its line number.  Duplicate edge rows are deduplicated silently.
+    ``<src_ext_id>\\t<dst_ext_id>\\t<AA|AC|CC>``, deduplicated silently.  Edges
+    get the checks snapshot edges get (:func:`_edge_fault`).  A bad row raises
+    :class:`FormatError` (:class:`KindMismatch` for endpoint kinds) with its
+    line: first the first bad node row, then the earliest edge row that does
+    not parse or breaks an edge rule, then a title repeated within a kind.
     """
     node_list = _make_nodes(_read_tsv(nodes_path), nodes_path)
-    return _assemble(node_list, _make_edges(_read_tsv(edges_path), node_list, edges_path))
+    edges = _make_edges(_read_tsv(edges_path), node_list, edges_path)
+    return _assemble(node_list, edges, nodes_path)
 
 
 def save_snapshot(g: KBGraph, path: str) -> None:
     """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
-    arrays = {"kinds": np.frombuffer("".join(n.kind.value for n in g.nodes).encode(), np.uint8)}
+    arrays = {"kinds": _kind_bytes(g.nodes)}
     for k in EdgeKind:
         indptr, indices = g._out[k]
         arrays[f"{k.value}_src"] = np.repeat(np.arange(len(g), dtype=np.int32), np.diff(indptr))
@@ -341,18 +348,10 @@ def load_snapshot(path: str) -> KBGraph:
     edges = {}
     for kind in EdgeKind:
         src, dst = columns[f"{kind.value}_src"], columns[f"{kind.value}_dst"]
-        want_src, want_dst = (ord(k.value) for k in _EDGE_ENDPOINTS[kind])
         if not (src.ndim == dst.ndim == 1 and src.dtype.kind == dst.dtype.kind == "i"
                 and src.size == dst.size):
-            problem = "are not int pairs of equal length"
-        elif ((src < 0) | (src >= len(nodes)) | (dst < 0) | (dst >= len(nodes))).any():
-            problem = "name unknown node ids"
-        elif (src == dst).any():
-            problem = "hold a self-loop"
-        elif (kinds[src] != want_src).any() or (kinds[dst] != want_dst).any():
-            problem = f"join nodes of the wrong kinds (needs {kind.value[0]}->{kind.value[1]})"
-        else:
-            edges[kind] = np.stack([src, dst], axis=1)
-            continue
-        raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge columns {problem}")
-    return _assemble(nodes, edges)
+            raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge columns are not int pairs of equal length")
+        if fault := _edge_fault(kinds, src, dst, *kind.value.encode()):
+            raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge at index {fault[0]}: {fault[1]}")
+        edges[kind] = np.stack([src, dst], axis=1)
+    return _assemble(nodes, edges, path)

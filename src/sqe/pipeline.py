@@ -199,26 +199,18 @@ def run_request_detailed(
     report.entities = entity_titles
     input_tokens = tokenize(req.text)
 
-    if report.fallback:
-        # no input nodes, so every plan entry would issue the same
-        # input-only query; a single search is the merged result
-        t0 = time.perf_counter()
-        query = build_expanded_query(input_tokens, [], None).root
-        if cfg.prf:
-            query = prf_expand(
-                idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu
-            )
-        merged = search(idx, query, cfg.total, req.request_id, cfg.tag, cfg.mu)
-        report.timings_ms["query"] = (time.perf_counter() - t0) * 1000
-        return merged, report
-
+    # with no input nodes every plan entry would run the same input-only
+    # query, so the first entry's search alone is the merged result
+    plan = cfg.plan if inputs else cfg.plan[:1]
     results = []
     query_ms = 0.0
-    for label, kind in cfg.plan:
-        t0 = time.perf_counter()
-        qg = expand(g, inputs, kind)
-        report.expansion_sizes[label] = len(qg.expansion)
-        report.timings_ms[f"expand_{label}"] = (time.perf_counter() - t0) * 1000
+    for label, kind in plan:
+        qg = None
+        if inputs:
+            t0 = time.perf_counter()
+            qg = expand(g, inputs, kind)
+            report.expansion_sizes[label] = len(qg.expansion)
+            report.timings_ms[f"expand_{label}"] = (time.perf_counter() - t0) * 1000
 
         t0 = time.perf_counter()
         query = build_expanded_query(input_tokens, entity_titles, qg, g).root
@@ -230,7 +222,7 @@ def run_request_detailed(
         query_ms += (time.perf_counter() - t0) * 1000
     report.timings_ms["query"] = query_ms
 
-    merged = merge_lists(results, cfg.cutoffs, cfg.total)
+    merged = merge_lists(results, cfg.cutoffs, cfg.total) if inputs else results[0]
     merged.tag = cfg.tag
     return merged, report
 

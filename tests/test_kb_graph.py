@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqe
+import sqe.kb_graph
 from sqe.errors import FormatError, KindMismatch, NotAnArticle, NotACategory
 from sqe.kb_graph import (
     EdgeKind,
@@ -75,6 +77,29 @@ def test_bad_edge_rows(tmp_path, bad_row, reason):
     assert reason in str(err.value)
 
 
+STRUCTURAL_FAULTS = {"self-loop": ("1", "1", "AA"), "wrong kinds": ("1", "2", "AC")}
+PARSE_FAULTS = {"unknown kind": ("1", "2", "XX"), "columns": ("1", "2")}
+
+
+@pytest.mark.parametrize("structural", sorted(STRUCTURAL_FAULTS))
+@pytest.mark.parametrize("parse", sorted(PARSE_FAULTS))
+@pytest.mark.parametrize("parse_first", [False, True])
+def test_earlier_of_two_edge_faults_is_reported(tmp_path, structural, parse, parse_first):
+    """Parse faults and rule faults are found in separate passes; the earlier line wins."""
+    first, later = STRUCTURAL_FAULTS[structural], PARSE_FAULTS[parse]
+    if parse_first:
+        first, later = later, first
+    rows = [MINI_EDGES[0], first, MINI_EDGES[1], later, MINI_EDGES[2]]
+    nodes = write_tsv(tmp_path / "n.tsv", MINI_NODES)
+    edges = write_tsv(tmp_path / "e.tsv", rows)
+    with pytest.raises((FormatError, KindMismatch)) as err:
+        load_graph(nodes, edges)
+    assert err.value.line == 2
+    assert f"{edges}:" in str(err.value)
+    wrong_kinds = not parse_first and structural == "wrong kinds"
+    assert isinstance(err.value, KindMismatch) == wrong_kinds
+
+
 def test_bad_node_rows(tmp_path):
     with pytest.raises(FormatError):
         load_graph(write_tsv(tmp_path / "n.tsv", [("1", "Q", "X")]), write_tsv(tmp_path / "e.tsv", []))
@@ -88,6 +113,27 @@ def test_bad_node_rows(tmp_path):
         build_graph([("1", "A", "Cable car"), ("2", "A", "cable_car")], [])
     g = build_graph([("1", "A", "Graffiti"), ("2", "C", "Graffiti")], [])
     assert len(g) == 2
+
+
+def test_duplicate_title_names_the_later_row(tmp_path):
+    rows = [("1", "A", "Cable car"), ("2", "C", "Cable car"), ("3", "A", "Funicular"),
+            ("4", "A", "cable_car")]
+    nodes = write_tsv(tmp_path / "n.tsv", rows)
+    with pytest.raises(FormatError) as err:
+        load_graph(nodes, write_tsv(tmp_path / "e.tsv", []))
+    assert err.value.line == 4 and f"{nodes}:" in str(err.value)
+
+    # a snapshot whose title column repeats a title within a kind
+    path = str(tmp_path / "kb.bin")
+    save_snapshot(build_graph(rows[:3] + [("4", "A", "Gondola")], []), path)
+    fmt = sqe.kb_graph._SNAPSHOT_FORMAT
+    columns = fmt.load(path, ["kinds", "AA_src", "AA_dst", "AC_src", "AC_dst", "CC_src", "CC_dst"],
+                       ["ext_ids", "titles"])
+    strings = {"ext_ids": columns.pop("ext_ids"), "titles": [t for _e, _k, t in rows]}
+    fmt.save(path, columns, strings)
+    with pytest.raises(FormatError) as err:
+        load_snapshot(path)
+    assert err.value.line == 4 and f"{path}:" in str(err.value)
 
 
 def test_duplicate_edge_rows_dedup(tmp_path):
@@ -262,3 +308,72 @@ def test_package_never_imports_pickle():
                 continue
             assert not any(m.split(".")[0] in ("pickle", "_pickle") for m in modules), path
         assert "allow_pickle=True" not in source, path
+
+
+def test_each_title_is_normalized_once_per_load(tmp_path, monkeypatch):
+    nodes, edges = random_graph(random.Random(5), 40)
+    nodes_path = write_tsv(tmp_path / "n.tsv", nodes)
+    edges_path = write_tsv(tmp_path / "e.tsv", edges)
+    snapshot = str(tmp_path / "kb.bin")
+    save_snapshot(load_graph(nodes_path, edges_path), snapshot)
+    calls = []
+
+    def counting(title):
+        calls.append(title)
+        return normalize_title(title)
+
+    monkeypatch.setattr(sqe.kb_graph, "normalize_title", counting)
+    load_graph(nodes_path, edges_path)
+    assert len(calls) == len(nodes)
+    calls.clear()
+    load_snapshot(snapshot)
+    assert len(calls) == len(nodes)
+
+
+def _bad_edge(draw, fault, articles, categories):
+    """An edge row that breaks exactly one edge rule."""
+    a, c = draw(st.sampled_from(articles)), draw(st.sampled_from(categories))
+    if fault == "unknown id":
+        return draw(st.sampled_from([("nowhere", c, "AC"), (a, "nowhere", "AC")]))
+    if fault == "self-loop":
+        return draw(st.sampled_from([(a, a, "AA"), (c, c, "CC")]))
+    return draw(st.sampled_from([(a, c, "AA"), (c, a, "AC"), (a, c, "CC")]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_nodes=st.integers(4, 30),
+    fault=st.sampled_from(["unknown id", "self-loop", "wrong kinds"]),
+    data=st.data(),
+)
+def test_one_bad_edge_is_named_in_rows_and_snapshots(tmp_path_factory, seed, n_nodes, fault, data):
+    nodes, edges = random_graph(random.Random(seed), n_nodes)
+    articles = [e for e, k, _t in nodes if k == "A"]
+    categories = [e for e, k, _t in nodes if k == "C"]
+    bad = _bad_edge(data.draw, fault, articles, categories)
+
+    at = data.draw(st.integers(0, len(edges)))
+    with pytest.raises((FormatError, KindMismatch)) as err:
+        build_graph(nodes, edges[:at] + [bad] + edges[at:])
+    assert err.value.line == at + 1
+    assert "edges:" in str(err.value)
+    assert isinstance(err.value, KindMismatch) == (fault == "wrong kinds")
+    if fault == "unknown id":
+        assert "'nowhere'" in str(err.value)
+
+    # the same edge inserted into the good graph's snapshot column of its kind
+    path = tmp_path_factory.mktemp("snapshot") / "kb.bin"
+    save_snapshot(build_graph(nodes, edges), str(path))
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    ids = {ext: i for i, (ext, _k, _t) in enumerate(nodes)}
+    unknown = data.draw(st.sampled_from([-1, len(nodes), 10**6]))
+    src, dst, kind = bad
+    pos = data.draw(st.integers(0, arrays[f"{kind}_src"].size))
+    arrays[f"{kind}_src"] = np.insert(arrays[f"{kind}_src"], pos, ids.get(src, unknown))
+    arrays[f"{kind}_dst"] = np.insert(arrays[f"{kind}_dst"], pos, ids.get(dst, unknown))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(FormatError, match=f"{kind} edge at index {pos}: "):
+        load_snapshot(str(path))

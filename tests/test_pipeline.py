@@ -17,7 +17,7 @@ from sqe.pipeline import (
     write_report,
 )
 from sqe.query_lang import build_expanded_query
-from sqe.search_engine import Document, RankedList, build_index, search
+from sqe.search_engine import Document, RankedList, build_index, prf_expand, search
 from sqe.text import tokenize
 
 GRAFFITI_DOCS = [
@@ -206,6 +206,24 @@ def test_no_entities_falls_back_to_input_only(cable_graph, graffiti_index):
     plain = search(graffiti_index, query, 12, "110")
     assert merged.doc_ids() == plain.doc_ids()
     assert "link" in report.timings_ms and "query" in report.timings_ms
+
+
+@pytest.mark.parametrize("prf", [False, True])
+def test_fallback_run_is_one_input_only_search(cable_graph, graffiti_index, prf):
+    """With no linked entity the run is the input-only search, under the run tag."""
+    cfg = PipelineConfig(cutoffs=(3, 3), total=12, prf=prf, fb_docs=3, fb_terms=2, tag="mine")
+    req = InputRequest("110", "male color portrait")
+    merged, report = run_request_detailed(cable_graph, graffiti_index, req, cfg)
+    query = build_expanded_query(tokenize(req.text), [], None).root
+    if prf:
+        query = prf_expand(graffiti_index, query, 3, 2, cfg.orig_weight, None, cfg.mu)
+    plain = search(graffiti_index, query, 12, "110", "mine")
+    assert (merged.entries, merged.tag) == (plain.entries, plain.tag)
+    buf = io.StringIO()
+    write_report([report], cfg, buf)
+    row = dict(zip(*(line.split("\t") for line in buf.getvalue().splitlines())))
+    assert row["fallback"] == "yes"
+    assert [row[f"n_expansion_{label}"] for label in ("eq1", "eq2", "eq3")] == ["0", "0", "0"]
 
 
 def test_three_plan_run_first_five_from_eq1(graffiti_graph, graffiti_index):
