@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, pipeline
-from .cycle_analysis import cycle_length_stats, enumerate_cycles
+from .cycle_analysis import MAX_CYCLE_LEN, MIN_CYCLE_LEN, cycle_length_stats, enumerate_cycles
 from .entity_linker import InputRequest
 from .errors import SqeError
 from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
@@ -68,6 +68,20 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:  # comma-separated; an error names the bad part
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -156,6 +170,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_analyze_cycles(args) -> int:
+    if args.min_len > args.max_len:
+        return _usage_error(f"--min-len {args.min_len} is greater than --max-len {args.max_len}")
     g = _load_kb(args)
     seeds = []
     for title in args.seeds:
@@ -229,14 +245,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
     run_files = [read_trec_run(p) for p in args.run]
     by_qid = [{r.request_id: r for r in runs} for runs in run_files]
     merged = []
     for ranked in run_files[0]:
         qid = ranked.request_id
         lists = [m.get(qid, RankedList(qid, [])) for m in by_qid]
-        merged.append(pipeline.merge_lists(lists, cutoffs, args.total))
+        merged.append(pipeline.merge_lists(lists, args.cutoffs, args.total))
     with _output(args.out) as out:
         write_trec_run(merged, out)
     return 0
@@ -244,13 +259,12 @@ def cmd_merge(args) -> int:
 
 def cmd_eval(args) -> int:
     qrels = evaluation.Qrels.load(args.qrels)
-    ks = tuple(int(k) for k in args.k.split(",")) if args.k else evaluation.DEFAULT_KS
     with _output(args.out) as out:
-        out.write("\t".join(["run"] + [f"P@{k}" for k in ks]) + "\n")
+        out.write("\t".join(["run"] + [f"P@{k}" for k in args.k]) + "\n")
         for path in args.run:
-            report = evaluation.evaluate(read_trec_run(path), qrels, ks)
+            report = evaluation.evaluate(read_trec_run(path), qrels, args.k)
             out.write(
-                "\t".join([Path(path).name] + [f"{report.means[k]:.4f}" for k in ks]) + "\n"
+                "\t".join([Path(path).name] + [f"{report.means[k]:.4f}" for k in args.k]) + "\n"
             )
             for qid in report.skipped:
                 print(f"note: {path}: request {qid} has no judgments", file=sys.stderr)
@@ -308,8 +322,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-cycles", help="cycle statistics around seed nodes")
     _kb_flags(p)
     p.add_argument("--seeds", nargs="+", required=True, help="seed node titles")
-    p.add_argument("--min-len", dest="min_len", type=int, default=2)
-    p.add_argument("--max-len", dest="max_len", type=int, default=5)
+    lengths = range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1)
+    p.add_argument("--min-len", dest="min_len", type=int, choices=lengths, default=MIN_CYCLE_LEN)
+    p.add_argument("--max-len", dest="max_len", type=int, choices=lengths, default=MAX_CYCLE_LEN)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze_cycles)
 
@@ -328,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="a single rendered query")
     p.add_argument("--queries", help="file with one query per line, optional <qid>TAB prefix")
     p.add_argument("--k", type=_positive_int, default=1000)
-    p.add_argument("--mu", type=float, default=2500.0)
+    p.add_argument("--mu", type=_positive_float, default=2500.0)
     p.add_argument("--prf", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -346,22 +361,23 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="range-stitch several run files")
     p.add_argument("--run", action="append", required=True)
-    p.add_argument("--cutoffs", default="5,30")
-    p.add_argument("--total", type=int, default=1000)
+    p.add_argument("--cutoffs", type=_positive_ints, default=(5, 30))
+    p.add_argument("--total", type=_positive_int, default=1000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("eval", help="precision at k for run files")
     p.add_argument("--run", action="append", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", help="comma-separated cutoffs (default 5,10,...,1000)")
+    p.add_argument("--k", type=_positive_ints, default=evaluation.DEFAULT_KS,
+                   help="comma-separated cutoffs (default 5,10,...,1000)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ttest", help="paired t-test between two runs at one cutoff")
     p.add_argument("--run", action="append", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ttest)

@@ -9,59 +9,31 @@ and the density of edges beyond the minimum needed to close the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .kb_graph import EdgeKind, KBGraph, NodeId, NodeKind
+from .kb_graph import KBGraph, NodeId, NodeKind
 
 MIN_CYCLE_LEN = 2
 MAX_CYCLE_LEN = 5
 
 
-def _canonical(nodes: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
-    best = None
-    for seq in (nodes, nodes[::-1]):
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Cycle:
-    nodes: tuple[NodeId, ...]
+    """Nodes in traversal order, compared and hashed by their least rotation or reflection."""
 
-    @property
-    def canonical_key(self) -> tuple[NodeId, ...]:
-        return _canonical(self.nodes)
+    nodes: tuple[NodeId, ...] = field(compare=False)
+    canonical_key: tuple[NodeId, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        seqs = (self.nodes, self.nodes[::-1])
+        key = min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq)))
+        object.__setattr__(self, "canonical_key", key)
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cycle) and self.canonical_key == other.canonical_key
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key)
-
-
-def _undirected_neighbors(g: KBGraph, i: NodeId) -> np.ndarray:
-    arrays = [g.out_neighbors(i, k) for k in EdgeKind] + [
-        g.in_neighbors(i, k) for k in EdgeKind
-    ]
-    return reduce(np.union1d, arrays)
-
-
-def _edges_between(g: KBGraph, u: NodeId, v: NodeId) -> int:
-    """Distinct stored edges joining u and v, all kinds, both directions."""
-    count = 0
-    for kind in EdgeKind:
-        count += g.has_edge(u, v, kind) + g.has_edge(v, u, kind)
-    return count
 
 
 def enumerate_cycles(
@@ -80,20 +52,16 @@ def enumerate_cycles(
         raise ValueError(f"cycle lengths must satisfy 2 <= min <= max <= 5, got {min_len}..{max_len}")
     found: set[Cycle] = set()
     path: list[NodeId] = []
-    neighbor_cache: dict[NodeId, list[NodeId]] = {}
-
-    def neighbors(i: NodeId) -> list[NodeId]:
-        got = neighbor_cache.get(i)
-        if got is None:
-            got = [int(x) for x in _undirected_neighbors(g, i)]
-            neighbor_cache[i] = got
-        return got
+    edge_counts: dict[NodeId, dict[NodeId, int]] = {}  # node -> {neighbor: edges joining them}
 
     def dfs(seed: NodeId, current: NodeId, on_path: set[NodeId]) -> None:
-        for nb in neighbors(current):
-            if nb == seed and len(path) >= min_len:
-                if len(path) > 2 or _edges_between(g, seed, current) >= 2:
-                    found.add(Cycle(tuple(path)))
+        counts = edge_counts.get(current)
+        if counts is None:
+            ends, n = np.unique(g.incident(current), return_counts=True)
+            counts = edge_counts[current] = dict(zip(ends.tolist(), n.tolist()))
+        for nb, n_edges in counts.items():
+            if nb == seed and len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
+                found.add(Cycle(tuple(path)))
             if nb not in on_path and len(path) < max_len:
                 path.append(nb)
                 on_path.add(nb)
@@ -124,7 +92,7 @@ def extra_edge_density(g: KBGraph, c: Cycle) -> float:
     slots = [(c.nodes[i], c.nodes[(i + 1) % length]) for i in range(length)]
     e_max = sum(2 if g.kind(u) is g.kind(v) else 1 for u, v in slots)
     pairs = {frozenset(slot) for slot in slots}  # a 2-cycle's two slots are one pair
-    n_edges = sum(_edges_between(g, *pair) for pair in pairs)
+    n_edges = sum(int(np.count_nonzero(g.incident(u) == v)) for u, v in pairs)
     return max(0, n_edges - length) / e_max
 
 

@@ -49,7 +49,7 @@ class EntityLinker:
         for node in g.nodes:
             if node.kind is not NodeKind.ARTICLE:
                 continue
-            if normalize_title(node.title) in stop:
+            if stop and normalize_title(node.title) in stop:
                 continue
             toks = tuple(tokenize(node.title))
             if not 1 <= len(toks) <= max_ngram:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -140,10 +140,18 @@ class KBGraph:
         indptr, indices = self._in[kind]
         return indices[indptr[i] : indptr[i + 1]]
 
-    def has_edge(self, src: NodeId, dst: NodeId, kind: EdgeKind) -> bool:
-        arr = self.out_neighbors(src, kind)
-        pos = int(np.searchsorted(arr, dst))
-        return bool(pos < arr.size and arr[pos] == dst)
+    def incident(self, i: NodeId, kinds: Collection[EdgeKind] = EdgeKind) -> np.ndarray:
+        """The other end of every stored edge of ``kinds`` at ``i``.
+
+        Out-rows first, then in-rows, one entry per edge: a node joined to
+        ``i`` in both directions, or by two kinds, appears once per edge.
+        """
+        rows = []
+        for adj in (self._out, self._in):
+            for kind in kinds:
+                indptr, indices = adj[kind]
+                rows.append(indices[indptr[i] : indptr[i + 1]])
+        return np.concatenate(rows)
 
     def edge_count(self, kind: EdgeKind) -> int:
         return int(self._out[kind][0][-1])
@@ -154,9 +162,7 @@ class KBGraph:
         """True iff article-to-article links exist in both directions."""
         if not self.is_article(a) or not self.is_article(b):
             raise NotAnArticle(f"doubly_linked requires articles, got {a}, {b}")
-        if a == b:
-            return False  # self-edges are banned, so never doubly linked
-        return self.has_edge(a, b, EdgeKind.AA) and self.has_edge(b, a, EdgeKind.AA)
+        return b in self.doubly_linked_neighbors(a)
 
     def doubly_linked_neighbors(self, a: NodeId) -> np.ndarray:
         """All articles doubly linked with ``a`` (sorted)."""
@@ -176,7 +182,7 @@ class KBGraph:
         """True iff a CC containment edge exists in either direction."""
         if self.is_article(c1) or self.is_article(c2):
             raise NotACategory(f"category_linked requires categories, got {c1}, {c2}")
-        return self.has_edge(c1, c2, EdgeKind.CC) or self.has_edge(c2, c1, EdgeKind.CC)
+        return c2 in self.incident(c1, (EdgeKind.CC,))
 
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""

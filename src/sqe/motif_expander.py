@@ -84,8 +84,7 @@ def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
         # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
         linked: Counter[NodeId] = Counter()
         for ci in g.categories_of(i):
-            cc_row = np.union1d(g.out_neighbors(ci, EdgeKind.CC), g.in_neighbors(ci, EdgeKind.CC))
-            linked.update(cc_row.tolist())
+            linked.update(np.unique(g.incident(ci, (EdgeKind.CC,))).tolist())
         for a in map(int, g.doubly_linked_neighbors(i)):
             if a in input_set:
                 continue

@@ -58,8 +58,16 @@ class PipelineConfig:
             )
         if any(c <= 0 for c in self.cutoffs):
             raise ValueError("cutoffs must be strictly positive")
+        if self.total < 1:
+            raise ValueError(f"total must be >= 1, got {self.total}")
         if sum(self.cutoffs) > self.total:
             raise ValueError("cutoffs must not exceed the total")
+        if not 0 < self.mu < float("inf"):  # also false for nan
+            raise ValueError(f"mu must be a finite number > 0, got {self.mu}")
+        if not 0 < self.orig_weight < 1:
+            raise ValueError(f"orig_weight must lie strictly between 0 and 1, got {self.orig_weight}")
+        if self.max_ngram < 1:
+            raise ValueError(f"max_ngram must be >= 1, got {self.max_ngram}")
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -83,8 +91,9 @@ class PipelineConfig:
                 label, kind = item.split(":", 1)
                 plan.append((label.strip(), MotifKind(kind.strip().lower())))
             kwargs["plan"] = tuple(plan)
-        if "cutoffs" in values:
-            kwargs["cutoffs"] = tuple(int(c) for c in values.pop("cutoffs").split(","))
+        if "cutoffs" in values:  # an empty value is no cutoffs, for a one-entry plan
+            text = values.pop("cutoffs")
+            kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
         for key, conv in (
             ("total", int),
             ("mu", float),

@@ -220,7 +220,38 @@ def test_search_k_below_one_exits_1(graffiti_index_file, capsys):
     assert "--k: must be an integer >= 1, got '0'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", ["plan = eq1:hexagon\n", "cutoffs = 5\n"])
+BAD_ARGUMENTS = {
+    "merge-cutoffs-not-int": ["merge", "--run", "{run}", "--cutoffs", "a"],
+    "merge-total-0": ["merge", "--run", "{run}", "--run", "{run}", "--run", "{run}", "--total", "0"],
+    "eval-k-not-int": ["eval", "--run", "{run}", "--qrels", "{qrels}", "--k", "a"],
+    "eval-k-0": ["eval", "--run", "{run}", "--qrels", "{qrels}", "--k", "5,0"],
+    "ttest-k-0": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--k", "0"],
+    "cycles-min-len-1": ["analyze-cycles", "--kb", "{kb}", "--seeds", "Graffiti", "--min-len", "1"],
+    "cycles-max-len-9": ["analyze-cycles", "--kb", "{kb}", "--seeds", "Graffiti", "--max-len", "9"],
+    "cycles-min-above-max": ["analyze-cycles", "--kb", "{kb}", "--seeds", "Graffiti",
+                             "--min-len", "4", "--max-len", "3"],
+    "search-mu-0": ["search", "--index", "{index}", "--query", "banksy", "--mu", "0"],
+    "search-mu-negative": ["search", "--index", "{index}", "--query", "banksy", "--mu", "-5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_file, capsys):
+    run, qrels = tmp_path / "r.trec", tmp_path / "q.txt"
+    run.write_text("b1 Q0 doc01 1 1.000000 x\n")
+    qrels.write_text("b1 0 doc01 1\nb2 0 doc02 1\n")
+    files = {"run": str(run), "qrels": str(qrels), "kb": graffiti_kb, "index": graffiti_index_file}
+    code = main([arg.format(**files) for arg in BAD_ARGUMENTS[case]])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 1 and "Traceback" not in err
+    assert len(errors) == 1 and errors[0].startswith("sqe")
+
+
+@pytest.mark.parametrize("config", [
+    "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
+    "orig_weight = 1\nprf = on\n", "max_ngram = 0\n",
+])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"
     topics.write_text("b1\tbanksy\n")
@@ -231,6 +262,18 @@ def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sqe: error:") and err.count("\n") == 1
+
+
+def test_one_entry_plan_config_runs(tmp_path, graffiti_kb, graffiti_index_file, capsys):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("b1\tbanksy\n")
+    cfg = tmp_path / "sqe.conf"
+    cfg.write_text("plan = only:both\ncutoffs =\ntotal = 5\ntag = one\n")
+    out = tmp_path / "run.trec"
+    assert main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file,
+                 "--topics", str(topics), "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines and all(line.split()[5] == "one" for line in lines)
 
 
 def _bumped_version(good: Path, path: Path) -> None:

@@ -21,6 +21,9 @@ def test_cycle_identity_up_to_rotation_and_reflection():
     assert hash(a) == hash(Cycle((2, 3, 1)))
     assert a != Cycle((1, 2, 4))
     assert len(a) == 3
+    b = Cycle((3, 2, 1))
+    assert b.nodes == (3, 2, 1) and b.canonical_key == (1, 2, 3)  # nodes keep their order
+    assert repr(b) == "Cycle(nodes=(3, 2, 1))"
 
 
 def test_two_article_cycle():
@@ -106,6 +109,26 @@ def test_density_bounds_and_recheck_on_random_graphs():
             assert 0.0 <= extra_edge_density(g, cycle) <= 1.0
             assert 0.0 <= category_ratio(g, cycle) <= 1.0
             assert len(set(cycle.nodes)) == len(cycle.nodes)
+
+
+def test_density_matches_a_count_of_raw_rows():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(20):
+        nodes, edges = random_graph(rng, 10)
+        edges += edges[::4]  # repeated rows are one edge
+        g = build_graph(nodes, edges)
+        ext = [e for e, _k, _t in nodes]
+        rows = {(s, d, k) for s, d, k in edges}
+        for cycle in enumerate_cycles(g, {0, 1}):
+            ring = [ext[i] for i in cycle.nodes]
+            pairs = {frozenset((ring[i], ring[(i + 1) % len(ring)])) for i in range(len(ring))}
+            n_edges = sum(1 for s, d, _k in rows if frozenset((s, d)) in pairs)
+            e_max = sum(2 if nodes[cycle.nodes[i]][1] == nodes[cycle.nodes[i - 1]][1] else 1
+                        for i in range(len(ring)))
+            assert extra_edge_density(g, cycle) == max(0, n_edges - len(ring)) / e_max
+            checked += 1
+    assert checked > 50
 
 
 def _ids_to_ext(g, cycles):

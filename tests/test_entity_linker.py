@@ -1,8 +1,10 @@
 import pytest
 
+import sqe.entity_linker
 from sqe.entity_linker import EntityLinker, InputRequest, link
 from sqe.errors import NoEntities
 from sqe.kb_graph import build_graph
+from sqe.text import normalize_title
 
 
 def titles(g, linked):
@@ -84,6 +86,20 @@ def test_stop_titles(cable_graph):
     linker = EntityLinker(g, stop_titles={"cable car"})
     with pytest.raises(NoEntities):
         linker.link(InputRequest("q", "cable car"))
+
+
+def test_table_normalizes_titles_only_for_stop_titles(graffiti_graph, monkeypatch):
+    calls = []
+
+    def counting(title):
+        calls.append(title)
+        return normalize_title(title)
+
+    monkeypatch.setattr(sqe.entity_linker, "normalize_title", counting)
+    EntityLinker(graffiti_graph)
+    assert calls == []
+    EntityLinker(graffiti_graph, stop_titles={"banksy"})
+    assert len(calls) == len(graffiti_graph.article_ids())
 
 
 def test_spans_do_not_overlap(graffiti_graph):

@@ -157,6 +157,29 @@ def test_doubly_linked():
         g2.doubly_linked(0, 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 25), reciprocal_cc=st.booleans())
+def test_incident_has_one_entry_per_distinct_edge_row(seed, n_nodes, reciprocal_cc):
+    nodes, edges = random_graph(random.Random(seed), n_nodes, reciprocal_cc=reciprocal_cc)
+    edges += edges[: len(edges) // 3]  # repeated rows are one stored edge
+    g = build_graph(nodes, edges)
+    ids = {ext: i for i, (ext, _k, _t) in enumerate(nodes)}
+    rows = {(ids[s], ids[d], k) for s, d, k in edges}
+    for i in range(len(g)):
+        every, cc = g.incident(i).tolist(), g.incident(i, (EdgeKind.CC,)).tolist()
+        for j in range(len(g)):
+            joining = [k for s, d, k in rows if (s, d) in ((i, j), (j, i))]
+            assert every.count(j) == len(joining)
+            assert cc.count(j) == joining.count("CC")
+
+
+def test_incident_lists_out_rows_then_in_rows():
+    g = build_graph(MINI_NODES, MINI_EDGES)
+    assert g.incident(0).tolist() == [1, 2, 1]  # AA out, AC out, AA in
+    assert g.incident(2).tolist() == [0, 1]  # AC in
+    assert g.incident(0, (EdgeKind.CC,)).size == 0
+
+
 def test_categories_of_and_category_linked(cable_graph):
     g = cable_graph
     cable = g.article_by_title("Cable_car")

@@ -132,6 +132,22 @@ def test_config_validation():
         PipelineConfig(plan=(("x", MotifKind.BOTH), ("x", MotifKind.SQUARE)), cutoffs=(5,))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mu", 0.0), ("mu", -5.0), ("mu", float("nan")), ("total", 0), ("orig_weight", 0.0),
+    ("orig_weight", 1.0), ("max_ngram", 0),
+])
+def test_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig(plan=(("only", MotifKind.BOTH),), cutoffs=(), **{key: value})
+
+
+def test_config_file_empty_cutoffs_mean_none(tmp_path):
+    path = tmp_path / "sqe.conf"
+    path.write_text("plan = only:both\ncutoffs =\n")
+    cfg = PipelineConfig.from_file(str(path))
+    assert cfg.plan == (("only", MotifKind.BOTH),) and cfg.cutoffs == ()
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "sqe.conf"
     path.write_text(
