@@ -24,6 +24,15 @@ def _ends(name: str) -> str:
     return name.removesuffix("s") + "_ends"
 
 
+def _decode(raw: bytes, ends: list[int]) -> list[str]:
+    """The strings packed back to back in ``raw``, each ending at its entry of ``ends``."""
+    starts = [0, *ends]
+    text = raw.decode("utf-8")
+    if len(text) == len(raw):  # ASCII: byte offsets are character offsets
+        return [text[a:b] for a, b in zip(starts, ends)]
+    return [raw[a:b].decode("utf-8") for a, b in zip(starts, ends)]
+
+
 @dataclass(frozen=True)
 class ArchiveFormat:
     magic: str
@@ -66,8 +75,7 @@ class ArchiveFormat:
                                          f"this build reads version {self.version}")
                     columns = {name: data[name] for name in arrays}
                     for name in strings:
-                        raw, ends = data[name].tobytes(), data[_ends(name)].tolist()
-                        columns[name] = [raw[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
+                        columns[name] = _decode(data[name].tobytes(), data[_ends(name)].tolist())
             except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
                 raise self.error(path, f"corrupt or truncated {self.noun} ({exc})") from None
         return columns

@@ -19,6 +19,8 @@ from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
 from .search_engine import (
+    DEFAULT_MU,
+    MAX_MU,
     RankedList,
     build_index,
     prf_expand,
@@ -75,13 +77,13 @@ def _positive_ints(text: str) -> tuple[int, ...]:  # comma-separated; an error n
     return tuple(_positive_int(part) for part in text.split(","))
 
 
-def _positive_float(text: str) -> float:
+def _mu(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = 0.0
-    if not 0 < value < float("inf"):  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    if not 0 < value <= MAX_MU:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a number > 0 and <= {MAX_MU:g}, got {text!r}")
     return value
 
 
@@ -245,6 +247,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    if len(args.cutoffs) != len(args.run) - 1:
+        return _usage_error(f"{len(args.run)} --run files need {len(args.run) - 1} --cutoffs, "
+                            f"got {len(args.cutoffs)}")
     run_files = [read_trec_run(p) for p in args.run]
     by_qid = [{r.request_id: r for r in runs} for runs in run_files]
     merged = []
@@ -343,7 +348,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="a single rendered query")
     p.add_argument("--queries", help="file with one query per line, optional <qid>TAB prefix")
     p.add_argument("--k", type=_positive_int, default=1000)
-    p.add_argument("--mu", type=_positive_float, default=2500.0)
+    p.add_argument("--mu", type=_mu, default=DEFAULT_MU)
     p.add_argument("--prf", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from .kb_graph import KBGraph, NodeId, NodeKind
 
 MIN_CYCLE_LEN = 2
@@ -52,26 +50,32 @@ def enumerate_cycles(
         raise ValueError(f"cycle lengths must satisfy 2 <= min <= max <= 5, got {min_len}..{max_len}")
     found: set[Cycle] = set()
     path: list[NodeId] = []
-    edge_counts: dict[NodeId, dict[NodeId, int]] = {}  # node -> {neighbor: edges joining them}
+    rows: dict[NodeId, dict[NodeId, int]] = {}  # node -> {neighbor: edges joining them}
 
-    def dfs(seed: NodeId, current: NodeId, on_path: set[NodeId]) -> None:
-        counts = edge_counts.get(current)
+    def row(i: NodeId) -> dict[NodeId, int]:
+        counts = rows.get(i)
         if counts is None:
-            ends, n = np.unique(g.incident(current), return_counts=True)
-            counts = edge_counts[current] = dict(zip(ends.tolist(), n.tolist()))
-        for nb, n_edges in counts.items():
-            if nb == seed and len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
-                found.add(Cycle(tuple(path)))
-            if nb not in on_path and len(path) < max_len:
+            neighbors, n_edges = g.links(i)
+            counts = rows[i] = dict(zip(neighbors.tolist(), n_edges.tolist()))
+        return counts
+
+    def dfs(seed: NodeId, seed_row: dict[NodeId, int], current: NodeId) -> None:
+        for nb, n_edges in row(current).items():
+            if nb == seed:
+                if len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
+                    found.add(Cycle(tuple(path)))
+            elif nb not in path:
                 path.append(nb)
-                on_path.add(nb)
-                dfs(seed, nb, on_path)
-                on_path.remove(nb)
+                if len(path) < max_len:
+                    dfs(seed, seed_row, nb)
+                elif seed_row.get(nb, 0) >= (2 if max_len == 2 else 1):
+                    # the last depth: nb closes a cycle iff it is in the seed's row; its own row is not read
+                    found.add(Cycle(tuple(path)))
                 path.pop()
 
     for seed in sorted(set(seeds)):
         path[:] = [seed]
-        dfs(seed, seed, {seed})
+        dfs(seed, row(seed), seed)
     return found
 
 
@@ -92,7 +96,7 @@ def extra_edge_density(g: KBGraph, c: Cycle) -> float:
     slots = [(c.nodes[i], c.nodes[(i + 1) % length]) for i in range(length)]
     e_max = sum(2 if g.kind(u) is g.kind(v) else 1 for u, v in slots)
     pairs = {frozenset(slot) for slot in slots}  # a 2-cycle's two slots are one pair
-    n_edges = sum(int(np.count_nonzero(g.incident(u) == v)) for u, v in pairs)
+    n_edges = sum(g.link_count(*pair) for pair in pairs)
     return max(0, n_edges - length) / e_max
 
 

@@ -9,7 +9,10 @@ The graph is a typed directed multigraph with three edge kinds:
 Adjacency is held in CSR form: per edge kind and direction, one
 ``indptr`` array of ``len(nodes) + 1`` offsets and one ``indices`` array,
 so node ``i``'s row is ``indices[indptr[i]:indptr[i + 1]]``, sorted
-ascending.  A :class:`KBGraph` is immutable once built; every read
+ascending.  One more CSR table, the link table, is derived at load and
+never saved: node ``i``'s row holds its distinct neighbors over every
+edge kind and both directions, sorted, and how many stored edges join
+``i`` to each.  A :class:`KBGraph` is immutable once built; every read
 operation is safe to call concurrently.  Parallel edges of the same kind
 between the same ordered pair are deduplicated on load so that motif
 counting is well-defined.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,7 +97,8 @@ class ValidationReport:
 class KBGraph:
     """Immutable typed graph with one sorted CSR row per node, kind and direction.
 
-    ``_out[kind]`` and ``_in[kind]`` are ``(indptr, indices)`` pairs.
+    ``_out[kind]`` and ``_in[kind]`` are ``(indptr, indices)`` pairs;
+    ``_links`` is the link table ``(indptr, neighbors, edge counts)``.
     Construct through :func:`load_graph`, :func:`build_graph` or
     :func:`load_snapshot`, not directly.
     """
@@ -103,6 +107,8 @@ class KBGraph:
     _out: dict[EdgeKind, tuple[memoryview, np.ndarray]]
     _in: dict[EdgeKind, tuple[memoryview, np.ndarray]]
     _title_index: dict[tuple[NodeKind, str], NodeId]
+    _links: tuple[memoryview, np.ndarray, np.ndarray]
+    _is_category: np.ndarray  # one bool per node
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -140,18 +146,25 @@ class KBGraph:
         indptr, indices = self._in[kind]
         return indices[indptr[i] : indptr[i + 1]]
 
-    def incident(self, i: NodeId, kinds: Collection[EdgeKind] = EdgeKind) -> np.ndarray:
-        """The other end of every stored edge of ``kinds`` at ``i``.
+    def links(self, i: NodeId) -> tuple[np.ndarray, np.ndarray]:
+        """``i``'s distinct neighbors over every edge kind and direction, sorted,
+        and how many stored edges join ``i`` to each (>= 1). Do not mutate."""
+        indptr, neighbors, counts = self._links
+        lo, hi = indptr[i], indptr[i + 1]
+        return neighbors[lo:hi], counts[lo:hi]
 
-        Out-rows first, then in-rows, one entry per edge: a node joined to
-        ``i`` in both directions, or by two kinds, appears once per edge.
-        """
-        rows = []
-        for adj in (self._out, self._in):
-            for kind in kinds:
-                indptr, indices = adj[kind]
-                rows.append(indices[indptr[i] : indptr[i + 1]])
-        return np.concatenate(rows)
+    def link_count(self, u: NodeId, v: NodeId) -> int:
+        """How many stored edges, of any kind and direction, join ``u`` and ``v``."""
+        indptr, neighbors, counts = self._links
+        lo, hi = indptr[u], indptr[u + 1]
+        k = lo + int(neighbors[lo:hi].searchsorted(v))
+        return int(counts[k]) if k < hi and neighbors[k] == v else 0
+
+    def linked_categories(self, i: NodeId) -> np.ndarray:
+        """The categories among ``i``'s neighbors, sorted: for a category,
+        its CC partners in either direction, as only CC edges join two."""
+        row = self.links(i)[0]
+        return row[self._is_category[row]]
 
     def edge_count(self, kind: EdgeKind) -> int:
         return int(self._out[kind][0][-1])
@@ -182,11 +195,11 @@ class KBGraph:
         """True iff a CC containment edge exists in either direction."""
         if self.is_article(c1) or self.is_article(c2):
             raise NotACategory(f"category_linked requires categories, got {c1}, {c2}")
-        return c2 in self.incident(c1, (EdgeKind.CC,))
+        return self.link_count(c1, c2) > 0  # only CC edges join two categories
 
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""
-        is_article = np.array([n.kind is NodeKind.ARTICLE for n in self.nodes], dtype=bool)
+        is_article = ~self._is_category
         degree = sum(np.diff(adj[k][0]) for adj in (self._out, self._in) for k in EdgeKind)
         no_cat = is_article & (np.diff(self._out[EdgeKind.AC][0]) == 0)
         return ValidationReport(
@@ -198,13 +211,32 @@ class KBGraph:
         )
 
 
+def _rows(codes: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray]:
+    """CSR ``(indptr, values)`` from sorted, distinct ``key * n_nodes + value`` codes."""
+    keys, values = np.divmod(codes, n_nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_nodes))))
+    return memoryview(indptr).toreadonly(), values  # Python-int items slice rows ~2x faster
+
+
 def _group_by(keys: np.ndarray, values: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray]:
     """CSR ``(indptr, indices)``: each key's distinct values, sorted."""
     pairs = np.sort(keys * n_nodes + values)  # ordered by (key, value)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # merges parallel edges; ids are >= 0
-    keys, values = np.divmod(pairs, n_nodes)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_nodes))))
-    return memoryview(indptr).toreadonly(), values  # Python-int items slice rows ~2x faster
+    return _rows(pairs[np.diff(pairs, prepend=-1) != 0], n_nodes)  # merges parallel edges; ids are >= 0
+
+
+def _link_table(out_adj: dict[EdgeKind, tuple[memoryview, np.ndarray]],
+                n_nodes: int) -> tuple[memoryview, np.ndarray, np.ndarray]:
+    """The link table from the deduplicated out-rows: each node's distinct
+    neighbors over all kinds and both directions, and the edges joining each."""
+    codes = []
+    for indptr, dst in out_adj.values():
+        src = np.repeat(np.arange(n_nodes), np.diff(indptr))
+        codes += [src * n_nodes + dst, dst * n_nodes + src]
+    pairs = np.sort(np.concatenate(codes))
+    first = np.flatnonzero(np.diff(pairs, prepend=-1))  # where each distinct pair starts
+    counts = np.diff(first, append=pairs.size)
+    indptr, neighbors = _rows(pairs[first], n_nodes)
+    return indptr, neighbors.astype(np.int32), counts.astype(np.int32)
 
 
 def _assemble(
@@ -226,7 +258,8 @@ def _assemble(
         src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         out_adj[kind] = _group_by(src, dst, len(nodes))
         in_adj[kind] = _group_by(dst, src, len(nodes))
-    return KBGraph(nodes, out_adj, in_adj, title_index)
+    is_category = _kind_bytes(nodes) == ord(NodeKind.CATEGORY.value)
+    return KBGraph(nodes, out_adj, in_adj, title_index, _link_table(out_adj, len(nodes)), is_category)
 
 
 def _kind_bytes(nodes: Sequence[KBNode]) -> np.ndarray:

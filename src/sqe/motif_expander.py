@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
 from .errors import EmptyInput, NotAnArticle
-from .kb_graph import EdgeKind, KBGraph, NodeId
+from .kb_graph import KBGraph, NodeId
 
 
 class MotifKind(Enum):
@@ -84,7 +82,7 @@ def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
         # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
         linked: Counter[NodeId] = Counter()
         for ci in g.categories_of(i):
-            linked.update(np.unique(g.incident(ci, (EdgeKind.CC,))).tolist())
+            linked.update(g.linked_categories(ci).tolist())
         for a in map(int, g.doubly_linked_neighbors(i)):
             if a in input_set:
                 continue

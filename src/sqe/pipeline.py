@@ -20,7 +20,7 @@ from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query
-from .search_engine import DEFAULT_MU, Index, RankedList, load_stopwords, prf_expand, search
+from .search_engine import DEFAULT_MU, MAX_MU, Index, RankedList, load_stopwords, prf_expand, search
 from .text import tokenize
 
 DEFAULT_PLAN = (
@@ -62,8 +62,8 @@ class PipelineConfig:
             raise ValueError(f"total must be >= 1, got {self.total}")
         if sum(self.cutoffs) > self.total:
             raise ValueError("cutoffs must not exceed the total")
-        if not 0 < self.mu < float("inf"):  # also false for nan
-            raise ValueError(f"mu must be a finite number > 0, got {self.mu}")
+        if not 0 < self.mu <= MAX_MU:  # also false for nan
+            raise ValueError(f"mu must be a number > 0 and <= {MAX_MU:g}, got {self.mu}")
         if not 0 < self.orig_weight < 1:
             raise ValueError(f"orig_weight must lie strictly between 0 and 1, got {self.orig_weight}")
         if self.max_ngram < 1:

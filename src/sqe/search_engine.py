@@ -25,6 +25,10 @@ from .query_lang import Combine, QueryNode, Term, Weight, Window
 from .text import tokenize
 
 DEFAULT_MU = 2500.0
+# The largest Dirichlet mu accepted.  mu * cf / |C| is at most mu, so up to
+# here it stays below 2**53 (about 9e15): one more occurrence of a term still
+# changes a document's score, and mu * cf cannot overflow to inf.
+MAX_MU = 1e15
 UNSEEN_CF = 0.5
 
 

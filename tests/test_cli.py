@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from sqe.cli import main
 from sqe.kb_graph import EdgeKind, load_snapshot
-from sqe.search_engine import Document, build_index
+from sqe.search_engine import MAX_MU, Document, build_index
 
 from conftest import CABLE_EDGES, CABLE_NODES, GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 from test_pipeline import GRAFFITI_DOCS
@@ -232,6 +233,9 @@ BAD_ARGUMENTS = {
                              "--min-len", "4", "--max-len", "3"],
     "search-mu-0": ["search", "--index", "{index}", "--query", "banksy", "--mu", "0"],
     "search-mu-negative": ["search", "--index", "{index}", "--query", "banksy", "--mu", "-5"],
+    "search-mu-overflows": ["search", "--index", "{index}", "--query", "banksy", "--mu", "1e308"],
+    # checked before any run file is read: the second one does not exist
+    "merge-cutoffs-count": ["merge", "--run", "{run}", "--run", "{missing}", "--cutoffs", "5,30"],
 }
 
 
@@ -240,7 +244,8 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
     run, qrels = tmp_path / "r.trec", tmp_path / "q.txt"
     run.write_text("b1 Q0 doc01 1 1.000000 x\n")
     qrels.write_text("b1 0 doc01 1\nb2 0 doc02 1\n")
-    files = {"run": str(run), "qrels": str(qrels), "kb": graffiti_kb, "index": graffiti_index_file}
+    files = {"run": str(run), "qrels": str(qrels), "kb": graffiti_kb, "index": graffiti_index_file,
+             "missing": str(tmp_path / "missing.trec")}
     code = main([arg.format(**files) for arg in BAD_ARGUMENTS[case]])
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -250,7 +255,7 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
 
 @pytest.mark.parametrize("config", [
     "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
-    "orig_weight = 1\nprf = on\n", "max_ngram = 0\n",
+    "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n",
 ])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"
@@ -262,6 +267,18 @@ def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sqe: error:") and err.count("\n") == 1
+
+
+def test_largest_accepted_mu_scores_finite(graffiti_index_file, tmp_path, capsys):
+    out = tmp_path / "run.trec"
+    assert main(["search", "--index", graffiti_index_file, "--query", "banksy",
+                 "--mu", f"{MAX_MU:g}", "--out", str(out)]) == 0
+    rows = [line.split() for line in out.read_text().splitlines()]
+    assert len(rows) == len(GRAFFITI_DOCS) and all(math.isfinite(float(r[4])) for r in rows)
+    assert {r[2] for r in rows[:2]} == {"doc01", "doc09"}  # the two banksy documents lead
+    assert main(["search", "--index", graffiti_index_file, "--query", "banksy",
+                 "--mu", f"{MAX_MU * 1.01:g}"]) == 1
+    capsys.readouterr()
 
 
 def test_one_entry_plan_config_runs(tmp_path, graffiti_kb, graffiti_index_file, capsys):

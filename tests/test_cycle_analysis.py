@@ -1,15 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqe.cycle_analysis import (
+    MAX_CYCLE_LEN,
+    MIN_CYCLE_LEN,
     Cycle,
     category_ratio,
     cycle_length_stats,
     enumerate_cycles,
     extra_edge_density,
 )
-from sqe.kb_graph import build_graph
+from sqe.kb_graph import KBGraph, build_graph
 
 from generators import exhaustive_graphs, random_graph
 from oracles import canonical_cycle, cycles_oracle
@@ -159,6 +163,58 @@ def test_matches_brute_force_oracle_random():
         got = _ids_to_ext(g, enumerate_cycles(g, seed_ids))
         want = cycles_oracle(nodes, edges, {nodes[0][0], nodes[1][0]}, 2, 5)
         assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 8), reciprocal_cc=st.booleans(),
+       data=st.data())
+def test_matches_oracle_for_every_length_bound(seed, n_nodes, reciprocal_cc, data):
+    nodes, edges = random_graph(random.Random(seed), n_nodes, reciprocal_cc=reciprocal_cc)
+    edges += edges[::3]  # repeated rows are one stored edge
+    g = build_graph(nodes, edges)
+    seeds = data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=2, max_size=2, unique=True))
+    seed_ext = {nodes[i][0] for i in seeds}
+    for min_len in range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1):
+        for max_len in range(min_len, MAX_CYCLE_LEN + 1):
+            got = _ids_to_ext(g, enumerate_cycles(g, seeds, min_len, max_len))
+            assert got == cycles_oracle(nodes, edges, seed_ext, min_len, max_len), (min_len, max_len)
+
+
+def _hops(nodes, edges, seeds):
+    """Each node's distance from the nearest seed over raw rows, either direction."""
+    ids = {ext: i for i, (ext, _k, _t) in enumerate(nodes)}
+    adjacent = {i: set() for i in range(len(nodes))}
+    for s, d, _k in edges:
+        adjacent[ids[s]].add(ids[d])
+        adjacent[ids[d]].add(ids[s])
+    dist, frontier = dict.fromkeys(seeds, 0), list(seeds)
+    while frontier:
+        reached = []
+        for i in frontier:
+            for j in adjacent[i] - dist.keys():
+                dist[j] = dist[i] + 1
+                reached.append(j)
+        frontier = reached
+    return dist
+
+
+@pytest.mark.parametrize("max_len", range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1))
+def test_rows_are_read_once_and_never_at_the_last_depth(monkeypatch, max_len):
+    nodes, edges = random_graph(random.Random(41), 30)
+    g = build_graph(nodes, edges)
+    seeds = {0, 1}
+    reads = Counter()
+    links = KBGraph.links
+
+    def counting(self, i):
+        reads[i] += 1
+        return links(self, i)
+
+    monkeypatch.setattr(KBGraph, "links", counting)
+    enumerate_cycles(g, seeds, MIN_CYCLE_LEN, max_len)
+    # a path's first max_len - 1 nodes are read: the nodes within max_len - 2 hops of a seed
+    within = {i for i, d in _hops(nodes, edges, seeds).items() if d <= max_len - 2}
+    assert set(reads) == within and set(reads.values()) == {1}
 
 
 def test_seed_order_invariance():

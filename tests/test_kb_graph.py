@@ -159,25 +159,31 @@ def test_doubly_linked():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 25), reciprocal_cc=st.booleans())
-def test_incident_has_one_entry_per_distinct_edge_row(seed, n_nodes, reciprocal_cc):
+def test_link_row_counts_each_distinct_edge_row(seed, n_nodes, reciprocal_cc):
     nodes, edges = random_graph(random.Random(seed), n_nodes, reciprocal_cc=reciprocal_cc)
     edges += edges[: len(edges) // 3]  # repeated rows are one stored edge
     g = build_graph(nodes, edges)
     ids = {ext: i for i, (ext, _k, _t) in enumerate(nodes)}
     rows = {(ids[s], ids[d], k) for s, d, k in edges}
     for i in range(len(g)):
-        every, cc = g.incident(i).tolist(), g.incident(i, (EdgeKind.CC,)).tolist()
+        neighbors, counts = g.links(i)
+        assert neighbors.dtype == counts.dtype == np.int32
+        assert np.all(neighbors[:-1] < neighbors[1:]) and np.all(counts > 0)
+        stored = dict(zip(neighbors.tolist(), counts.tolist()))
+        cc_partners = g.linked_categories(i).tolist()
         for j in range(len(g)):
             joining = [k for s, d, k in rows if (s, d) in ((i, j), (j, i))]
-            assert every.count(j) == len(joining)
-            assert cc.count(j) == joining.count("CC")
+            assert stored.get(j, 0) == g.link_count(i, j) == len(joining)
+            if nodes[i][1] == "C":
+                assert (j in cc_partners) == ("CC" in joining)
 
 
-def test_incident_lists_out_rows_then_in_rows():
+def test_link_rows_of_the_mini_graph():
     g = build_graph(MINI_NODES, MINI_EDGES)
-    assert g.incident(0).tolist() == [1, 2, 1]  # AA out, AC out, AA in
-    assert g.incident(2).tolist() == [0, 1]  # AC in
-    assert g.incident(0, (EdgeKind.CC,)).size == 0
+    rows = [tuple(a.tolist() for a in g.links(i)) for i in range(len(g))]
+    assert rows == [([1, 2], [2, 1]), ([0, 2], [2, 1]), ([0, 1], [1, 1])]  # AA both ways, one AC
+    assert [g.linked_categories(i).tolist() for i in range(len(g))] == [[2], [2], []]
+    assert g.link_count(0, 1) == 2 and g.link_count(2, 0) == 1 and g.link_count(2, 2) == 0
 
 
 def test_categories_of_and_category_linked(cable_graph):
@@ -294,6 +300,26 @@ def test_snapshot_round_trip(tmp_path):
     path = tmp_path / "kb.bin"
     save_snapshot(g, str(path))
     _assert_same_graph(g, load_snapshot(str(path)))
+
+
+def test_snapshot_round_trip_with_non_ascii_titles(tmp_path):
+    nodes = [("é1", "A", "Café"), ("2", "A", "Straße_art"), ("3", "C", "Граффити"),
+             ("4", "C", "Plain"), ("5", "A", "日本の落書き")]
+    edges = [("é1", "2", "AA"), ("2", "é1", "AA"), ("é1", "3", "AC"), ("5", "4", "AC"), ("3", "4", "CC")]
+    g = build_graph(nodes, edges)
+    path = str(tmp_path / "kb.bin")
+    save_snapshot(g, path)
+    back = load_snapshot(path)
+    _assert_same_graph(g, back)
+    assert back.article_by_title("café") == 0 and back.category_by_title("граффити") == 2
+
+
+@pytest.mark.parametrize("values", [[], [""], ["a", "", "bc"], ["é", "", "x", "日本語", "ß"]])
+def test_archive_string_columns_round_trip(tmp_path, values):
+    fmt = sqe.kb_graph._SNAPSHOT_FORMAT
+    path = str(tmp_path / "strings.bin")
+    fmt.save(path, {}, {"names": values})
+    assert fmt.load(path, [], ["names"])["names"] == values
 
 
 def test_empty_snapshot_round_trip(tmp_path):

@@ -17,7 +17,7 @@ from sqe.pipeline import (
     write_report,
 )
 from sqe.query_lang import build_expanded_query
-from sqe.search_engine import Document, RankedList, build_index, prf_expand, search
+from sqe.search_engine import MAX_MU, Document, RankedList, build_index, prf_expand, search
 from sqe.text import tokenize
 
 GRAFFITI_DOCS = [
@@ -134,7 +134,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("mu", 0.0), ("mu", -5.0), ("mu", float("nan")), ("total", 0), ("orig_weight", 0.0),
-    ("orig_weight", 1.0), ("max_ngram", 0),
+    ("orig_weight", 1.0), ("max_ngram", 0), ("mu", 1e308), ("mu", MAX_MU * 1.01),
 ])
 def test_config_rejects_out_of_range_values(key, value):
     with pytest.raises(ValueError, match=key):
