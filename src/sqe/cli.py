@@ -87,6 +87,16 @@ def _mu(text: str) -> float:
     return value
 
 
+def _alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def _kb_flags(sub):
     sub.add_argument("--kb", help="graph snapshot written by ingest --out")
     sub.add_argument("--nodes", help="nodes TSV (with --edges)")
@@ -359,7 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", required=True)
     p.add_argument("--config")
     p.add_argument("--prf", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.add_argument("--report")
     p.set_defaults(func=cmd_run)
@@ -383,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", action="append", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=_positive_int, default=5)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ttest)
 

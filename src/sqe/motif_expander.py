@@ -92,14 +92,32 @@ def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
     return QueryGraph(frozenset(nodes), dict(weights), MotifKind.SQUARE)
 
 
-def expand(g: KBGraph, inputs: Iterable[NodeId], kind: MotifKind) -> QueryGraph:
-    """Build a query graph with one motif family or the weight-sum of both."""
-    if kind is MotifKind.TRIANGULAR:
-        return expand_triangular(g, inputs)
-    if kind is MotifKind.SQUARE:
-        return expand_square(g, inputs)
-    tri = expand_triangular(g, inputs)
-    sq = expand_square(g, inputs)
+_EXPANDERS = {MotifKind.TRIANGULAR: expand_triangular, MotifKind.SQUARE: expand_square}
+
+
+def expand(
+    g: KBGraph,
+    inputs: Iterable[NodeId],
+    kind: MotifKind,
+    shared: dict[MotifKind, QueryGraph] | None = None,
+) -> QueryGraph:
+    """Build a query graph with one motif family or the weight-sum of both.
+
+    ``shared`` is a caller-owned memo for one input set: TRIANGULAR and
+    SQUARE graphs are read from it or computed into it, and BOTH is the
+    sum of those two entries, so each motif runs at most once per memo.
+    """
+    if shared is None:
+        shared = {}
+    if kind is not MotifKind.BOTH:
+        qg = shared.get(kind)
+        if qg is None:
+            qg = shared[kind] = _EXPANDERS[kind](g, inputs)
+        elif qg.input_nodes != frozenset(inputs):
+            raise ValueError("a shared expansion memo serves one input set only")
+        return qg
+    tri = expand(g, inputs, MotifKind.TRIANGULAR, shared)
+    sq = expand(g, inputs, MotifKind.SQUARE, shared)
     combined = Counter(tri.expansion)
     combined.update(sq.expansion)
     return QueryGraph(tri.input_nodes, dict(combined), MotifKind.BOTH)

@@ -6,6 +6,10 @@ are stitched range-wise: the first cutoff entries come from the first
 list, the next quota of unseen documents from the second, and the final
 list fills up to the total.  Merged scores are synthetic (total - rank
 + 1) so the output forms a valid run.
+
+A request's plan entries share work through two memos that live only as
+long as the request: each motif runs once (a BOTH entry sums the
+TRIANGULAR and SQUARE graphs) and each term or window is scored once.
 """
 
 from __future__ import annotations
@@ -18,9 +22,18 @@ from typing import IO, Sequence
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
-from .motif_expander import MotifKind, expand
+from .motif_expander import MotifKind, QueryGraph, expand
 from .query_lang import build_expanded_query
-from .search_engine import DEFAULT_MU, MAX_MU, Index, RankedList, load_stopwords, prf_expand, search
+from .search_engine import (
+    DEFAULT_MU,
+    MAX_MU,
+    Index,
+    Leaves,
+    RankedList,
+    load_stopwords,
+    prf_expand,
+    search,
+)
 from .text import tokenize
 
 DEFAULT_PLAN = (
@@ -188,12 +201,18 @@ def run_request_detailed(
     req: InputRequest,
     cfg: PipelineConfig,
     linker: EntityLinker | None = None,
+    stopwords: frozenset[str] | None = None,
 ) -> tuple[RankedList, RequestReport]:
-    """One request through link, per-plan expansion, search and merge."""
+    """One request through link, per-plan expansion, search and merge.
+
+    ``linker`` and ``stopwords`` default to the ones ``cfg`` names; a batch
+    builds them once and passes them in.
+    """
     report = RequestReport(req.request_id)
     if linker is None:
         linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
-    stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
+    if stopwords is None and cfg.stopwords_path:
+        stopwords = load_stopwords(cfg.stopwords_path)
 
     t0 = time.perf_counter()
     try:
@@ -211,13 +230,15 @@ def run_request_detailed(
     # with no input nodes every plan entry would run the same input-only
     # query, so the first entry's search alone is the merged result
     plan = cfg.plan if inputs else cfg.plan[:1]
+    expansions: dict[MotifKind, QueryGraph] = {}
+    leaves: Leaves = {}  # one index and one mu for the whole request
     results = []
     query_ms = 0.0
     for label, kind in plan:
         qg = None
         if inputs:
             t0 = time.perf_counter()
-            qg = expand(g, inputs, kind)
+            qg = expand(g, inputs, kind, expansions)
             report.expansion_sizes[label] = len(qg.expansion)
             report.timings_ms[f"expand_{label}"] = (time.perf_counter() - t0) * 1000
 
@@ -225,9 +246,9 @@ def run_request_detailed(
         query = build_expanded_query(input_tokens, entity_titles, qg, g).root
         if cfg.prf:
             query = prf_expand(
-                idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu
+                idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves
             )
-        results.append(search(idx, query, cfg.total, req.request_id, label, cfg.mu))
+        results.append(search(idx, query, cfg.total, req.request_id, label, cfg.mu, leaves))
         query_ms += (time.perf_counter() - t0) * 1000
     report.timings_ms["query"] = query_ms
 
@@ -252,13 +273,16 @@ def run_batch(
 ) -> tuple[list[RankedList], list[RequestReport]]:
     """All topics, optionally in parallel; outputs stay in topic order."""
     linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
+    stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
+
+    def one(req: InputRequest) -> tuple[RankedList, RequestReport]:
+        return run_request_detailed(g, idx, req, cfg, linker, stopwords)
+
     if jobs <= 1:
-        pairs = [run_request_detailed(g, idx, req, cfg, linker) for req in topics]
+        pairs = [one(req) for req in topics]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(
-                pool.map(lambda r: run_request_detailed(g, idx, r, cfg, linker), topics)
-            )
+            pairs = list(pool.map(one, topics))
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 

@@ -7,11 +7,16 @@ when a pattern never occurs, so beliefs stay finite), ``#combine``
 averages and ``#weight`` takes a weight-normalized sum.  Scoring is
 exhaustive over the collection, which keeps the ranking contract exact.
 
-Indexes are immutable after build; concurrent searches are safe.
+Indexes are immutable after build; concurrent searches are safe.  Work
+shared between searches lives in memos that belong to the caller, never
+to ``Index``: ``search`` and ``prf_expand`` take an optional ``leaves``
+dict that holds each term's and window's score vector for one index and
+one ``mu``, filled on first use and read-only once stored.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -221,17 +226,31 @@ def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
     return np.log((tf + mu * cf / collection_length) / (doc_lengths + mu))
 
 
-def _score_vector(idx: Index, q: QueryNode, mu: float) -> np.ndarray:
+Leaves = dict[tuple[int, tuple[str, ...]], np.ndarray]
+
+
+def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves | None = None) -> np.ndarray:
+    """Per-document log-belief of ``q``.
+
+    ``leaves`` memoizes term and window vectors by ``(n, tokens)``, a term
+    being ``(1, (token,))``; it must only ever see this index and this mu.
+    """
     if isinstance(q, (Term, Window)):
-        n, tokens = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
-        tf = _window_tf(idx, n, tokens)
-        return _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
+        key = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
+        vec = leaves.get(key) if leaves is not None else None
+        if vec is None:
+            tf = _window_tf(idx, *key)
+            vec = _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
+            if leaves is not None:
+                vec.flags.writeable = False
+                leaves[key] = vec
+        return vec
     if isinstance(q, Combine):
-        parts = [_score_vector(idx, c, mu) for c in q.children]
+        parts = [_score_vector(idx, c, mu, leaves) for c in q.children]
         return np.mean(parts, axis=0)
     if isinstance(q, Weight):
         total = sum(w for w, _c in q.entries)
-        return sum(w / total * _score_vector(idx, c, mu) for w, c in q.entries)
+        return sum(w / total * _score_vector(idx, c, mu, leaves) for w, c in q.entries)
     raise TypeError(f"not a query node: {q!r}")
 
 
@@ -249,15 +268,20 @@ def search(
     request_id: str = "0",
     tag: str = "sqe",
     mu: float = DEFAULT_MU,
+    leaves: Leaves | None = None,
 ) -> RankedList:
-    """Score every document; top-k by score descending, doc id ascending."""
+    """Score every document; top-k by score descending, doc id ascending.
+
+    ``leaves``, when given, is a caller-owned memo of leaf score vectors
+    for this index and this ``mu`` (see the module docstring).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if idx.n_docs == 0:
         return RankedList(request_id, [], tag)
     if idx.collection_length == 0:
         raise EmptyCollection("collection has documents but no tokens; scores are undefined")
-    scores = _score_vector(idx, q, mu)
+    scores = _score_vector(idx, q, mu, leaves)
     top = np.lexsort((idx._doc_rank, -scores))[:k]
     entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
     return RankedList(request_id, entries, tag)
@@ -266,6 +290,7 @@ def search(
 # -- pseudo-relevance feedback ------------------------------------------------
 
 
+@functools.cache
 def default_stopwords() -> frozenset[str]:
     data = resources.files("sqe.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in data.split() if w)
@@ -296,6 +321,7 @@ def prf_expand(
     orig_weight: float = 0.5,
     stopwords: frozenset[str] | None = None,
     mu: float = DEFAULT_MU,
+    leaves: Leaves | None = None,
 ) -> QueryNode:
     """Relevance-model feedback over the top retrieved documents.
 
@@ -304,11 +330,11 @@ def prf_expand(
     tokens are dropped; the top ``fb_terms`` remainder re-weights the
     original query as (orig_weight, q) + (1 - orig_weight, feedback).
     With no retrievable documents or fb_terms <= 0 the query is returned
-    unchanged.
+    unchanged.  ``leaves`` is passed to the feedback search, as in ``search``.
     """
     if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
         return q
-    top = search(idx, q, fb_docs, mu=mu).entries
+    top = search(idx, q, fb_docs, mu=mu, leaves=leaves).entries
     if not top:
         return q
     scores = np.array([s for _d, s in top])

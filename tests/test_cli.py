@@ -236,6 +236,16 @@ BAD_ARGUMENTS = {
     "search-mu-overflows": ["search", "--index", "{index}", "--query", "banksy", "--mu", "1e308"],
     # checked before any run file is read: the second one does not exist
     "merge-cutoffs-count": ["merge", "--run", "{run}", "--run", "{missing}", "--cutoffs", "5,30"],
+    # checked before the topics file is read: it does not exist
+    "run-jobs-0": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{missing}", "--jobs", "0"],
+    "run-jobs-negative": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{missing}",
+                          "--jobs", "-3"],
+    "ttest-alpha-2": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--alpha", "2"],
+    "ttest-alpha-negative": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}",
+                             "--alpha", "-1"],
+    "ttest-alpha-nan": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}",
+                        "--alpha", "nan"],
+    "ttest-alpha-1": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--alpha", "1"],
 }
 
 

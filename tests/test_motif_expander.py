@@ -1,6 +1,9 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqe.errors import EmptyInput, NotAnArticle
 from sqe.kb_graph import build_graph
@@ -169,3 +172,32 @@ def test_independent_of_edge_order():
     articles = g1.article_ids()[:3]
     for kind in MotifKind:
         assert expand(g1, articles, kind).expansion == expand(g2, articles, kind).expansion
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 40), n_inputs=st.integers(1, 3))
+def test_shared_memo_matches_fresh_expansions_in_every_order(seed, n_nodes, n_inputs):
+    rng = random.Random(seed)
+    nodes, edges = random_graph(rng, n_nodes)
+    g = build_graph(nodes, edges)
+    articles = g.article_ids()
+    inputs = rng.sample(articles, min(n_inputs, len(articles)))
+    fresh = {kind: expand(g, inputs, kind).expansion for kind in MotifKind}
+    both = Counter(fresh[MotifKind.TRIANGULAR])
+    both.update(fresh[MotifKind.SQUARE])
+    assert fresh[MotifKind.BOTH] == dict(both)
+    for order in itertools.permutations(MotifKind):
+        shared = {}
+        for kind in order:
+            qg = expand(g, inputs, kind, shared)
+            assert (qg.motif_kind, qg.expansion) == (kind, fresh[kind])
+            assert qg.input_nodes == frozenset(inputs)
+        assert set(shared) == {MotifKind.TRIANGULAR, MotifKind.SQUARE}
+
+
+def test_shared_memo_serves_one_input_set(graffiti_graph):
+    g = graffiti_graph
+    shared = {}
+    expand(g, [g.article_by_title("Graffiti")], MotifKind.TRIANGULAR, shared)
+    with pytest.raises(ValueError):
+        expand(g, [g.article_by_title("Street_art")], MotifKind.BOTH, shared)

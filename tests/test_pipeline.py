@@ -295,6 +295,39 @@ def test_run_batch_order_and_jobs(graffiti_graph, graffiti_index):
     assert reports1[1].fallback is True
 
 
+@pytest.mark.parametrize("prf", [False, True])
+def test_shared_work_never_leaves_a_request(graffiti_graph, graffiti_index, prf):
+    """Memos are per request: what ran before cannot change a request's result."""
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=prf, fb_docs=3, fb_terms=2)
+    a = InputRequest("73", "graffiti street art on walls")
+    b = InputRequest("b1", "banksy stencil")
+    alone, alone_report = run_request_detailed(g, idx, b, cfg)
+    run_request_detailed(g, idx, a, cfg)
+    after_a, after_a_report = run_request_detailed(g, idx, b, cfg)
+    assert after_a.entries == alone.entries
+    assert after_a_report.expansion_sizes == alone_report.expansion_sizes
+
+    runs, reports = run_batch(g, idx, [b, a, b], cfg)
+    assert runs[0].entries == runs[2].entries == alone.entries
+    assert reports[0].expansion_sizes == reports[2].expansion_sizes
+
+
+def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graffiti_index, tmp_path):
+    g, idx = graffiti_graph, graffiti_index
+    path = tmp_path / "stop.txt"
+    path.write_text("art street\n")
+    feedback = dict(cutoffs=(3, 3), total=10, prf=True, fb_docs=3, fb_terms=2)
+    cfg = PipelineConfig(stopwords_path=str(path), **feedback)
+    topics = [InputRequest("73", "graffiti street art on walls"), InputRequest("b1", "banksy")]
+    runs, _reports = run_batch(g, idx, topics, cfg)
+    for req, run in zip(topics, runs):
+        assert run.entries == run_request(g, idx, req, cfg).entries
+        given, _report = run_request_detailed(g, idx, req, PipelineConfig(**feedback),
+                                              stopwords=frozenset({"art", "street"}))
+        assert given.entries == run.entries
+
+
 def test_write_report(graffiti_graph, graffiti_index):
     cfg = PipelineConfig(cutoffs=(3, 3), total=10)
     topics = [InputRequest("73", "graffiti street art on walls")]

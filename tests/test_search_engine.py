@@ -498,3 +498,54 @@ def test_prf_matches_loop_reference(docs, q, fb_docs, fb_terms, orig_weight, sto
     assume(idx.collection_length > 0)
     got = prf_expand(idx, q, fb_docs, fb_terms, orig_weight, stopwords)
     assert got == prf_expand_loop(idx, collection, q, fb_docs, fb_terms, orig_weight, stopwords)
+
+
+# -- caller-owned leaf memo ----------------------------------------------------
+
+
+def leaf_keys(q) -> set:
+    if isinstance(q, Term):
+        return {(1, (q.token,))}
+    if isinstance(q, Window):
+        return {(q.n, q.tokens)}
+    children = q.children if isinstance(q, Combine) else [c for _w, c in q.entries]
+    return set().union(*(leaf_keys(c) for c in children))
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=collections, qs=st.lists(queries, min_size=1, max_size=5), k=st.integers(1, 8))
+def test_shared_leaf_memo_matches_fresh_searches(docs, qs, k):
+    idx = build_index(collection_of(docs))
+    assume(idx.collection_length > 0)
+    memo = {}
+    for q in qs:
+        assert search(idx, q, k, leaves=memo).entries == search(idx, q, k).entries
+        assert np.array_equal(_score_vector(idx, q, DEFAULT_MU, memo),
+                              _score_vector(idx, q, DEFAULT_MU))
+    assert set(memo) == set().union(*(leaf_keys(q) for q in qs))
+    for vec in memo.values():
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    docs=collections,
+    qs=st.lists(queries, min_size=1, max_size=4),
+    fb_docs=st.integers(1, 7),
+    fb_terms=st.integers(1, 5),
+)
+def test_shared_leaf_memo_matches_fresh_prf(docs, qs, fb_docs, fb_terms):
+    idx = build_index(collection_of(docs))
+    assume(idx.collection_length > 0)
+    memo = {}
+    for q in qs:
+        got = prf_expand(idx, q, fb_docs, fb_terms, leaves=memo)
+        assert got == prf_expand(idx, q, fb_docs, fb_terms)
+        assert search(idx, got, 8, leaves=memo).entries == search(idx, got, 8).entries
+    assert all(not vec.flags.writeable for vec in memo.values())
+
+
+def test_default_stopwords_read_once():
+    assert default_stopwords() is default_stopwords()
