@@ -7,9 +7,18 @@ list, the next quota of unseen documents from the second, and the final
 list fills up to the total.  Merged scores are synthetic (total - rank
 + 1) so the output forms a valid run.
 
-A request's plan entries share work through two memos that live only as
-long as the request: each motif runs once (a BOTH entry sums the
-TRIANGULAR and SQUARE graphs) and each term or window is scored once.
+Work is shared through memos that the functions here create and drop:
+
+* per request, in ``run_request_detailed``: ``expansions`` runs each
+  motif once (a BOTH entry sums the TRIANGULAR and SQUARE graphs), and
+  ``leaves`` scores each term or window once, holding its dense score
+  vector over the collection.
+* per batch, in ``run_batch``: ``matches`` runs each multi-token
+  window's match dynamic program once for all the batch's requests,
+  holding only the (document ordinal, count) pairs whose count is above
+  0; each request's ``leaves`` rebuilds its dense vectors from them.
+
+None of them is kept on the index, the graph or this module.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Sequence
 
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
@@ -30,6 +40,7 @@ from .search_engine import (
     Index,
     Leaves,
     RankedList,
+    WindowMatches,
     load_stopwords,
     prf_expand,
     search,
@@ -202,11 +213,12 @@ def run_request_detailed(
     cfg: PipelineConfig,
     linker: EntityLinker | None = None,
     stopwords: frozenset[str] | None = None,
+    matches: WindowMatches | None = None,
 ) -> tuple[RankedList, RequestReport]:
     """One request through link, per-plan expansion, search and merge.
 
     ``linker`` and ``stopwords`` default to the ones ``cfg`` names; a batch
-    builds them once and passes them in.
+    builds them once and passes them in, with its window ``matches`` memo.
     """
     report = RequestReport(req.request_id)
     if linker is None:
@@ -231,10 +243,13 @@ def run_request_detailed(
     # query, so the first entry's search alone is the merged result
     plan = cfg.plan if inputs else cfg.plan[:1]
     expansions: dict[MotifKind, QueryGraph] = {}
-    leaves: Leaves = {}  # one index and one mu for the whole request
+    leaves = Leaves(matches)  # one index and one mu for the whole request
+    # the merge reads at most sum(cutoffs[:i + 1]) entries of list i but the
+    # last, and a top-k is a prefix of any longer top-k
+    ks = [min(cfg.total, c) for c in accumulate(cfg.cutoffs[: len(plan) - 1])] + [cfg.total]
     results = []
     query_ms = 0.0
-    for label, kind in plan:
+    for (label, kind), k in zip(plan, ks):
         qg = None
         if inputs:
             t0 = time.perf_counter()
@@ -248,7 +263,7 @@ def run_request_detailed(
             query = prf_expand(
                 idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves
             )
-        results.append(search(idx, query, cfg.total, req.request_id, label, cfg.mu, leaves))
+        results.append(search(idx, query, k, req.request_id, label, cfg.mu, leaves))
         query_ms += (time.perf_counter() - t0) * 1000
     report.timings_ms["query"] = query_ms
 
@@ -271,12 +286,16 @@ def run_batch(
     cfg: PipelineConfig,
     jobs: int = 1,
 ) -> tuple[list[RankedList], list[RequestReport]]:
-    """All topics, optionally in parallel; outputs stay in topic order."""
+    """All topics, optionally in parallel; outputs stay in topic order.
+
+    The requests share one window ``matches`` memo, dropped on return.
+    """
     linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
     stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
+    matches: WindowMatches = {}
 
     def one(req: InputRequest) -> tuple[RankedList, RequestReport]:
-        return run_request_detailed(g, idx, req, cfg, linker, stopwords)
+        return run_request_detailed(g, idx, req, cfg, linker, stopwords, matches=matches)
 
     if jobs <= 1:
         pairs = [one(req) for req in topics]

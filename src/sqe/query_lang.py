@@ -97,7 +97,11 @@ class ExpandedQuery:
 
 def phrase(title: str, n: int = 1) -> Window:
     """Exact-phrase window for a title; keeps parentheses etc. for display."""
-    norm = normalize_title(title)
+    return _title_window(title, normalize_title(title), n)
+
+
+def _title_window(title: str, norm: str, n: int = 1) -> Window:
+    """``phrase(title, n)``, given ``norm``, the normalized ``title``."""
     toks = tokenize(norm)
     if not toks:
         raise ValueError(f"title has no tokens: {title!r}")
@@ -134,7 +138,7 @@ def build_expanded_query(
             ((w, normalize_title(g.title(a))) for a, w in qg.expansion.items()),
             key=lambda e: (-e[0], e[1]),
         )
-        feature_part = Weight(tuple((w, phrase(t)) for w, t in entries))
+        feature_part = Weight(tuple((w, _title_window(t, t)) for w, t in entries))
 
     return ExpandedQuery(input_part, entity_part, feature_part)
 

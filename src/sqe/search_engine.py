@@ -9,17 +9,29 @@ exhaustive over the collection, which keeps the ranking contract exact.
 
 Indexes are immutable after build; concurrent searches are safe.  Work
 shared between searches lives in memos that belong to the caller, never
-to ``Index``: ``search`` and ``prf_expand`` take an optional ``leaves``
-dict that holds each term's and window's score vector for one index and
-one ``mu``, filled on first use and read-only once stored.
+to ``Index`` or to this module.  ``search`` and ``prf_expand`` take one
+optional ``leaves`` memo, which can hold two:
+
+* the dict itself: each term's and window's dense score vector for one
+  index and one ``mu``, keyed by ``(n, tokens)``; a pipeline keeps one
+  per request.
+* ``Leaves.matches``: each multi-token window's match pairs, the
+  document ordinals and counts where the count is above 0, keyed by
+  ``(n, tokens)``; it depends on the index alone, so a pipeline shares
+  one across a batch of requests and drops it when the batch ends.
+
+Entries are filled on first use and never changed once stored, so
+threads may share both memos: a race only recomputes an equal entry.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -56,11 +68,10 @@ class RankedList:
     tag: str = "sqe"
 
     def __post_init__(self):
-        scores = [s for _d, s in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        scores = list(map(operator.itemgetter(1), self.entries))
+        if any(map(operator.lt, scores, islice(scores, 1, None))):
             raise ValueError("ranked list scores must be non-increasing")
-        ids = [d for d, _s in self.entries]
-        if len(set(ids)) != len(ids):
+        if len(set(map(operator.itemgetter(0), self.entries))) != len(self.entries):
             raise ValueError("ranked list doc ids must be unique")
 
     def doc_ids(self) -> list[str]:
@@ -72,7 +83,8 @@ class Index:
 
     The collection is one term-id array, ``tokens``, in token order;
     document ``d`` covers ``doc_lengths[d]`` tokens from ``_doc_starts[d]``,
-    so a token's global position is ``_doc_starts[doc] + pos``.  Postings are
+    so a token's global position is ``_doc_starts[doc] + pos``; ``_by_id``
+    lists the ordinals in doc id order.  Postings are
     CSR over global positions: term ``t`` occurs, in ascending order, at
     ``_positions[_offsets[t]:_offsets[t + 1]]``.  Term ids follow first
     appearance, and everything is fixed at construction.
@@ -89,7 +101,7 @@ class Index:
         "collection_tf",
         "_doc_starts",
         "_doc_of",
-        "_doc_rank",
+        "_by_id",
         "_offsets",
         "_positions",
     )
@@ -112,8 +124,7 @@ class Index:
         self._doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
         self._doc_of = np.repeat(np.arange(len(doc_ids)), self.doc_lengths)
         by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-        self._doc_rank = np.empty(len(doc_ids), dtype=np.int64)
-        self._doc_rank[by_id] = np.arange(len(doc_ids))
+        self._by_id = np.array(by_id, dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
         self._positions = np.argsort(self.tokens, kind="stable")
 
@@ -194,14 +205,17 @@ def read_documents(path: str) -> Iterable[Document]:
             yield Document.from_text(str(doc_id), str(text))
 
 
-def _window_tf(idx: Index, n: int, tokens: Sequence[str]) -> np.ndarray:
-    """Per-document count of ordered position tuples with each gap in [1, n].
+def _window_matches(idx: Index, n: int, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Document ordinals and counts of ordered position tuples with each gap
+    in [1, n], one pair per final-token occurrence that ends a match.
 
     A dynamic program over the tokens' global postings: ``ways[j]`` counts
-    the partial matches ending at the j-th occurrence of the current token.
-    An occurrence at ``p`` extends the previous token's matches at positions
-    in ``[max(p - n, doc_start(p)), p - 1]``, so no match crosses a document
-    boundary; prefix sums give each range's total in one ``searchsorted``.
+    the partial matches ending at the j-th kept occurrence of the current
+    token.  An occurrence at ``p`` extends the previous token's matches at
+    positions in ``[max(p - n, doc_start(p)), p - 1]``, so no match crosses
+    a document boundary; prefix sums give each range's total in one
+    ``searchsorted``.  Occurrences that end no partial match are dropped at
+    each step, so every returned count is above 0.
     """
     prev = idx._postings(tokens[0])
     ways = np.ones(prev.size, dtype=np.int64)
@@ -210,8 +224,34 @@ def _window_tf(idx: Index, n: int, tokens: Sequence[str]) -> np.ndarray:
         lowest = np.maximum(cur - n, idx._doc_starts[idx._doc_of[cur]])
         prefix = np.concatenate(([0], np.cumsum(ways)))
         ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
-        prev = cur
-    return np.bincount(idx._doc_of[prev], weights=ways, minlength=idx.n_docs)
+        hit = ways > 0
+        prev, ways = cur[hit], ways[hit]
+    return idx._doc_of[prev], ways
+
+
+# (n, tokens) -> a read-only 2 x m array: document ordinals, then counts
+WindowMatches = dict[tuple[int, tuple[str, ...]], np.ndarray]
+
+
+def _window_tf(
+    idx: Index, n: int, tokens: Sequence[str], matches: WindowMatches | None = None
+) -> np.ndarray:
+    """Per-document window match count, as floats over the ordinals.
+
+    ``matches`` memoizes the pairs of multi-token windows by ``(n, tokens)``
+    (see the module docstring); a term's count is cheaper to recompute.
+    """
+    if matches is None or len(tokens) == 1:
+        docs, counts = _window_matches(idx, n, tokens)
+    else:
+        key = (n, tuple(tokens))
+        pairs = matches.get(key)
+        if pairs is None:  # one array per entry holds the memo's size down
+            pairs = np.array(_window_matches(idx, n, tokens))
+            pairs.flags.writeable = False
+            matches[key] = pairs
+        docs, counts = pairs
+    return np.bincount(docs, weights=counts, minlength=idx.n_docs)
 
 
 def window_tf(idx: Index, doc: str | int, n: int, tokens: Sequence[str]) -> int:
@@ -226,20 +266,28 @@ def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
     return np.log((tf + mu * cf / collection_length) / (doc_lengths + mu))
 
 
-Leaves = dict[tuple[int, tuple[str, ...]], np.ndarray]
+class Leaves(dict):
+    """Leaf score vectors keyed by ``(n, tokens)``, a term being ``(1, (token,))``.
 
-
-def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves | None = None) -> np.ndarray:
-    """Per-document log-belief of ``q``.
-
-    ``leaves`` memoizes term and window vectors by ``(n, tokens)``, a term
-    being ``(1, (token,))``; it must only ever see this index and this mu.
+    It must only ever see one index and one mu.  ``matches``, when given,
+    is a window match memo for the same index that may outlive this one
+    (see the module docstring); a plain dict works as a memo without it.
     """
+
+    __slots__ = ("matches",)
+
+    def __init__(self, matches: WindowMatches | None = None):
+        super().__init__()
+        self.matches = matches
+
+
+def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: dict | None = None) -> np.ndarray:
+    """Per-document log-belief of ``q``, memoized in ``leaves`` (see ``Leaves``)."""
     if isinstance(q, (Term, Window)):
         key = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
         vec = leaves.get(key) if leaves is not None else None
         if vec is None:
-            tf = _window_tf(idx, *key)
+            tf = _window_tf(idx, *key, getattr(leaves, "matches", None))
             vec = _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
             if leaves is not None:
                 vec.flags.writeable = False
@@ -268,12 +316,13 @@ def search(
     request_id: str = "0",
     tag: str = "sqe",
     mu: float = DEFAULT_MU,
-    leaves: Leaves | None = None,
+    leaves: dict | None = None,
 ) -> RankedList:
     """Score every document; top-k by score descending, doc id ascending.
 
     ``leaves``, when given, is a caller-owned memo of leaf score vectors
-    for this index and this ``mu`` (see the module docstring).
+    for this index and this ``mu``, a ``Leaves`` or a plain dict (see the
+    module docstring).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -282,7 +331,8 @@ def search(
     if idx.collection_length == 0:
         raise EmptyCollection("collection has documents but no tokens; scores are undefined")
     scores = _score_vector(idx, q, mu, leaves)
-    top = np.lexsort((idx._doc_rank, -scores))[:k]
+    by_id = idx._by_id  # a stable sort keeps doc id order among equal scores
+    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
     entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
     return RankedList(request_id, entries, tag)
 
@@ -321,7 +371,7 @@ def prf_expand(
     orig_weight: float = 0.5,
     stopwords: frozenset[str] | None = None,
     mu: float = DEFAULT_MU,
-    leaves: Leaves | None = None,
+    leaves: dict | None = None,
 ) -> QueryNode:
     """Relevance-model feedback over the top retrieved documents.
 

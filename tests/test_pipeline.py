@@ -1,15 +1,21 @@
 import io
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import merge_oracle
+from sqe import pipeline, search_engine
 from sqe.entity_linker import InputRequest
-from sqe.errors import FormatError, LengthMismatch
+from sqe.errors import FormatError, LengthMismatch, NoEntities
 from sqe.kb_graph import build_graph
 from sqe.motif_expander import MotifKind, expand
 from sqe.pipeline import (
     PipelineConfig,
     load_topics,
+    make_linker,
     merge_lists,
     run_batch,
     run_request,
@@ -17,7 +23,15 @@ from sqe.pipeline import (
     write_report,
 )
 from sqe.query_lang import build_expanded_query
-from sqe.search_engine import MAX_MU, Document, RankedList, build_index, prf_expand, search
+from sqe.search_engine import (
+    MAX_MU,
+    Document,
+    RankedList,
+    _window_tf,
+    build_index,
+    prf_expand,
+    search,
+)
 from sqe.text import tokenize
 
 GRAFFITI_DOCS = [
@@ -92,8 +106,6 @@ def test_merge_errors():
 
 
 def test_merge_properties_on_random_overlapping_lists():
-    from oracles import merge_oracle
-
     rng = random.Random(1234)
     for _ in range(60):
         universe = [f"d{i:03d}" for i in range(rng.randint(10, 120))]
@@ -311,6 +323,111 @@ def test_shared_work_never_leaves_a_request(graffiti_graph, graffiti_index, prf)
     runs, reports = run_batch(g, idx, [b, a, b], cfg)
     assert runs[0].entries == runs[2].entries == alone.entries
     assert reports[0].expansion_sizes == reports[2].expansion_sizes
+
+
+# linked, fallback and overlapping topics: titles recur across them
+BATCH_TOPICS = [
+    InputRequest("73", "graffiti street art on walls"),
+    InputRequest("b1", "banksy stencil"),
+    InputRequest("110", "male color portrait"),
+    InputRequest("y1", "yarn bombing and urban art"),
+    InputRequest("p1", "public art by john fekner"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    topic=st.sampled_from(BATCH_TOPICS),
+    cutoffs=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    extra=st.integers(0, 8),
+    prf=st.booleans(),
+)
+@example(topic=BATCH_TOPICS[0], cutoffs=[3, 3], extra=0, prf=False)  # eq2's top 3 are eq1's
+def test_merge_of_searches_cut_to_what_it_reads_equals_full_merge(
+    graffiti_graph, graffiti_index, topic, cutoffs, extra, prf
+):
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=tuple(cutoffs), total=sum(cutoffs) + extra, prf=prf,
+                         fb_docs=3, fb_terms=2)
+    try:
+        inputs = make_linker(g, cfg.max_ngram, None).link(topic).input_nodes
+    except NoEntities:
+        inputs = []
+    full = []
+    for _label, kind in cfg.plan if inputs else cfg.plan[:1]:
+        qg = expand(g, inputs, kind) if inputs else None
+        query = build_expanded_query(tokenize(topic.text), [g.title(n) for n in inputs], qg, g).root
+        if prf:
+            query = prf_expand(idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, None, cfg.mu)
+        full.append(search(idx, query, cfg.total).doc_ids())
+    want = merge_oracle(full, cfg.cutoffs, cfg.total) if inputs else full[0]
+    assert run_request(g, idx, topic, cfg).doc_ids() == want
+
+
+@pytest.mark.parametrize("prf", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(order=st.lists(st.sampled_from(BATCH_TOPICS), min_size=1, max_size=8))
+def test_run_batch_equals_fresh_requests(graffiti_graph, graffiti_index, prf, order):
+    """The batch's shared window memo cannot change any request's result."""
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=prf, fb_docs=3, fb_terms=2)
+    runs, _reports = run_batch(g, idx, order, cfg)
+    assert [r.entries for r in runs] == [run_request(g, idx, req, cfg).entries for req in order]
+
+
+def spy_on_matches(monkeypatch) -> list:
+    """Each request's window ``matches`` memo, with its size when the request starts."""
+    seen = []
+    inner = pipeline.run_request_detailed
+
+    def spy(*args, matches=None, **kwargs):
+        seen.append((matches, None if matches is None else len(matches)))
+        return inner(*args, matches=matches, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_request_detailed", spy)
+    return seen
+
+
+def test_batch_window_memo_holds_positive_multi_token_pairs(graffiti_graph, graffiti_index,
+                                                            monkeypatch):
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10)
+    seen = spy_on_matches(monkeypatch)
+    runs, _reports = run_batch(g, idx, BATCH_TOPICS, cfg)
+    memo, size_at_start = seen[0]
+    assert size_at_start == 0 and all(m is memo for m, _size in seen)
+    assert memo  # the topics' titles include multi-token phrases
+    for key, (ordinals, counts) in memo.items():
+        n, tokens = key
+        assert isinstance(n, int) and isinstance(tokens, tuple) and len(tokens) > 1
+        assert (counts > 0).all()
+        tf = _window_tf(idx, n, tokens)
+        assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
+        assert np.array_equal(np.bincount(ordinals, weights=counts, minlength=idx.n_docs), tf)
+    keys = set(memo)
+
+    seen.clear()
+    again, _reports = run_batch(g, idx, BATCH_TOPICS, cfg)
+    assert [r.entries for r in again] == [r.entries for r in runs]
+    assert seen[0][0] is not memo and seen[0][1] == 0  # each batch starts its own memo
+    assert set(memo) == keys  # and never writes into an earlier one
+    assert not any(v is memo for module in (pipeline, search_engine) for v in vars(module).values())
+
+
+def test_run_batch_threads_share_one_window_memo(graffiti_graph, graffiti_index):
+    """More workers than cores, switching threads often: results equal ``jobs=1``."""
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=True, fb_docs=3, fb_terms=2)
+    topics = BATCH_TOPICS * 4
+    want = [r.entries for r in run_batch(g, idx, topics, cfg)[0]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            runs, _reports = run_batch(g, idx, topics, cfg, jobs=8)
+            assert [r.entries for r in runs] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graffiti_index, tmp_path):

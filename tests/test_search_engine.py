@@ -12,6 +12,7 @@ from sqe.query_lang import Combine, Term, Weight, Window, parse
 from sqe.search_engine import (
     DEFAULT_MU,
     Document,
+    Leaves,
     RankedList,
     _dirichlet,
     _score_vector,
@@ -230,10 +231,17 @@ def test_insertion_order_independence():
 
 
 def test_ranked_list_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scores must be non-increasing"):
         RankedList("q", [("a", 1.0), ("b", 2.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scores must be non-increasing"):
+        RankedList("q", [("a", 3.0), ("b", 3.0), ("c", 1.0), ("d", 1.5)])
+    with pytest.raises(ValueError, match="doc ids must be unique"):
         RankedList("q", [("a", 2.0), ("a", 1.0)])
+    with pytest.raises(ValueError, match="doc ids must be unique"):
+        RankedList("q", [("a", 2.0), ("b", 2.0), ("c", 1.0), ("b", 0.5)])
+    assert RankedList("q", [("a", 2.0), ("b", 2.0), ("c", 2.0)]).doc_ids() == ["a", "b", "c"]
+    assert RankedList("q", [("a", 2.0)]).doc_ids() == ["a"]
+    assert RankedList("q", []).doc_ids() == []
 
 
 # -- pseudo-relevance feedback -------------------------------------------------
@@ -414,6 +422,10 @@ def test_window_tf_vector_matches_oracle(docs, n, pattern):
     idx = build_index(collection_of(docs))
     tf = [window_tf_oracle(toks, n, pattern) for toks in docs]
     assert _window_tf(idx, n, pattern).tolist() == tf
+    matches = {}  # a miss, then a hit
+    assert _window_tf(idx, n, pattern, matches).tolist() == tf
+    assert _window_tf(idx, n, pattern, matches).tolist() == tf
+    assert len(matches) == (len(pattern) > 1)
     assert [window_tf(idx, i, n, pattern) for i in range(len(docs))] == tf
     if idx.collection_length:
         want = _dirichlet(np.array(tf, dtype=float), sum(tf), idx.doc_lengths,
@@ -428,7 +440,7 @@ def test_search_matches_sorted_and_naive_ranking(docs, q, k):
     idx = build_index(collection)
     assume(idx.collection_length > 0)
     got = search(idx, q, k).entries
-    # the top-k loop search used before lexsort: every document sorted in Python
+    # reference order: every document sorted in Python by score descending, then doc id
     scores = _score_vector(idx, q, DEFAULT_MU)
     order = sorted(range(idx.n_docs), key=lambda i: (-scores[i], idx.doc_ids[i]))
     assert got == [(idx.doc_ids[i], float(scores[i])) for i in order[:k]]
@@ -545,6 +557,30 @@ def test_shared_leaf_memo_matches_fresh_prf(docs, qs, fb_docs, fb_terms):
         assert got == prf_expand(idx, q, fb_docs, fb_terms)
         assert search(idx, got, 8, leaves=memo).entries == search(idx, got, 8).entries
     assert all(not vec.flags.writeable for vec in memo.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=collections, qs=st.lists(queries, min_size=1, max_size=5), k=st.integers(1, 8))
+def test_shared_window_match_memo_matches_fresh_searches(docs, qs, k):
+    """Requests with their own ``Leaves`` over one batch memo search as fresh calls do."""
+    idx = build_index(collection_of(docs))
+    assume(idx.collection_length > 0)
+    matches = {}
+    for q in qs:
+        assert search(idx, q, k, leaves=Leaves(matches)).entries == search(idx, q, k).entries
+        assert np.array_equal(_score_vector(idx, q, DEFAULT_MU, Leaves(matches)),
+                              _score_vector(idx, q, DEFAULT_MU))
+        got = prf_expand(idx, q, 3, 2, leaves=Leaves(matches))
+        assert got == prf_expand(idx, q, 3, 2)
+    windows = {key for q in qs for key in leaf_keys(q) if len(key[1]) > 1}
+    assert set(matches) == windows  # multi-token windows only, keyed with their size
+    for (n, tokens), (ordinals, counts) in matches.items():
+        tf = _window_tf(idx, n, tokens)
+        assert ordinals.shape == counts.shape == (ordinals.size,)
+        assert (counts > 0).all()  # no zero-count pair, so no dense vector
+        assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
+        assert np.array_equal(np.bincount(ordinals, weights=counts, minlength=idx.n_docs), tf)
+        assert not ordinals.flags.writeable and not counts.flags.writeable
 
 
 def test_default_stopwords_read_once():
