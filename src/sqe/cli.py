@@ -126,6 +126,8 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
             if args.config
             else pipeline.PipelineConfig()
         )
+    except UnicodeDecodeError:  # not a bad value: a file that does not decode is bad data
+        raise
     except ValueError as exc:  # a bad value, plan motif or cutoff in the config
         raise SystemExit(_usage_error(f"{args.config}: {exc}")) from None
     if getattr(args, "prf", False):
@@ -407,7 +409,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (SqeError, OSError) as exc:
+    except (SqeError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is bad data
         print(f"sqe: error: {exc}", file=sys.stderr)
         return 2
 

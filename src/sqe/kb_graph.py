@@ -6,16 +6,16 @@ The graph is a typed directed multigraph with three edge kinds:
 * ``AC``  article belongs to category
 * ``CC``  category belongs to category
 
-Adjacency is held in CSR form: per edge kind and direction, one
-``indptr`` array of ``len(nodes) + 1`` offsets and one ``indices`` array,
-so node ``i``'s row is ``indices[indptr[i]:indptr[i + 1]]``, sorted
-ascending.  One more CSR table, the link table, is derived at load and
-never saved: node ``i``'s row holds its distinct neighbors over every
-edge kind and both directions, sorted, and how many stored edges join
-``i`` to each.  A :class:`KBGraph` is immutable once built; every read
-operation is safe to call concurrently.  Parallel edges of the same kind
-between the same ordered pair are deduplicated on load so that motif
-counting is well-defined.
+Adjacency is held in CSR form: per edge kind, one ``indptr`` array of
+``len(nodes) + 1`` offsets and one ``indices`` array, so node ``i``'s
+out-row is ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending.  One
+more CSR table, the link table, is derived at load and never saved: node
+``i``'s row holds its distinct neighbors over every edge kind and both
+directions, sorted, and how many stored edges join ``i`` to each.  It
+answers every question that needs no direction.  A :class:`KBGraph` is
+immutable once built; every read operation is safe to call concurrently.
+Parallel edges of the same kind between the same ordered pair are
+deduplicated on load so that motif counting is well-defined.
 """
 
 from __future__ import annotations
@@ -95,17 +95,17 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class KBGraph:
-    """Immutable typed graph with one sorted CSR row per node, kind and direction.
+    """Immutable typed graph: one sorted CSR out-row per node and edge kind,
+    and one undirected link row per node.
 
-    ``_out[kind]`` and ``_in[kind]`` are ``(indptr, indices)`` pairs;
-    ``_links`` is the link table ``(indptr, neighbors, edge counts)``.
+    ``_out[kind]`` is an ``(indptr, indices)`` pair; ``_links`` is the
+    link table ``(indptr, neighbors, edge counts)``.
     Construct through :func:`load_graph`, :func:`build_graph` or
     :func:`load_snapshot`, not directly.
     """
 
     nodes: list[KBNode]
     _out: dict[EdgeKind, tuple[memoryview, np.ndarray]]
-    _in: dict[EdgeKind, tuple[memoryview, np.ndarray]]
     _title_index: dict[tuple[NodeKind, str], NodeId]
     _links: tuple[memoryview, np.ndarray, np.ndarray]
     _is_category: np.ndarray  # one bool per node
@@ -142,10 +142,6 @@ class KBGraph:
         indptr, indices = self._out[kind]
         return indices[indptr[i] : indptr[i + 1]]
 
-    def in_neighbors(self, i: NodeId, kind: EdgeKind) -> np.ndarray:
-        indptr, indices = self._in[kind]
-        return indices[indptr[i] : indptr[i + 1]]
-
     def links(self, i: NodeId) -> tuple[np.ndarray, np.ndarray]:
         """``i``'s distinct neighbors over every edge kind and direction, sorted,
         and how many stored edges join ``i`` to each (>= 1). Do not mutate."""
@@ -175,15 +171,18 @@ class KBGraph:
         """True iff article-to-article links exist in both directions."""
         if not self.is_article(a) or not self.is_article(b):
             raise NotAnArticle(f"doubly_linked requires articles, got {a}, {b}")
-        return b in self.doubly_linked_neighbors(a)
+        return self.link_count(a, b) == 2  # only AA edges join two articles
 
     def doubly_linked_neighbors(self, a: NodeId) -> np.ndarray:
-        """All articles doubly linked with ``a`` (sorted)."""
+        """All articles doubly linked with ``a`` (sorted).
+
+        One AC edge at most joins an article to a category, so a count of
+        2 on ``a``'s link row is an AA edge each way.
+        """
         if not self.is_article(a):
             raise NotAnArticle(f"node {a} is not an article")
-        return np.intersect1d(
-            self.out_neighbors(a, EdgeKind.AA), self.in_neighbors(a, EdgeKind.AA), assume_unique=True
-        )
+        neighbors, counts = self.links(a)
+        return neighbors[counts == 2]
 
     def categories_of(self, a: NodeId) -> set[NodeId]:
         """Categories reachable by one AC edge from article ``a``."""
@@ -200,14 +199,14 @@ class KBGraph:
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""
         is_article = ~self._is_category
-        degree = sum(np.diff(adj[k][0]) for adj in (self._out, self._in) for k in EdgeKind)
         no_cat = is_article & (np.diff(self._out[EdgeKind.AC][0]) == 0)
+        no_edge = ~is_article & (np.diff(self._links[0]) == 0)
         return ValidationReport(
             n_articles=int(is_article.sum()),
             n_categories=int((~is_article).sum()),
             edge_counts={k: self.edge_count(k) for k in EdgeKind},
             articles_without_category=np.flatnonzero(no_cat).tolist(),
-            orphan_categories=np.flatnonzero(~is_article & (degree == 0)).tolist(),
+            orphan_categories=np.flatnonzero(no_edge).tolist(),
         )
 
 
@@ -253,13 +252,12 @@ def _assemble(
         if title_index.setdefault(key, nd.id) != nd.id:
             raise FormatError(nd.id + 1, f"{source}: duplicate normalized title {key[1]!r} "
                                          f"for kind {nd.kind.value}")
-    out_adj, in_adj = {}, {}
+    out_adj = {}
     for kind, pairs in edges_by_kind.items():
         src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         out_adj[kind] = _group_by(src, dst, len(nodes))
-        in_adj[kind] = _group_by(dst, src, len(nodes))
     is_category = _kind_bytes(nodes) == ord(NodeKind.CATEGORY.value)
-    return KBGraph(nodes, out_adj, in_adj, title_index, _link_table(out_adj, len(nodes)), is_category)
+    return KBGraph(nodes, out_adj, title_index, _link_table(out_adj, len(nodes)), is_category)
 
 
 def _kind_bytes(nodes: Sequence[KBNode]) -> np.ndarray:

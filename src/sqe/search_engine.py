@@ -429,10 +429,13 @@ def write_trec_run(runs: Iterable[RankedList], out: IO[str]) -> None:
 
 
 def read_trec_run(path: str) -> list[RankedList]:
-    """Parse a TREC run file back into per-request ranked lists."""
-    per_qid: dict[str, list[tuple[int, str, float]]] = {}
-    tags: dict[str, str] = {}
-    order: list[str] = []
+    """Parse a TREC run file back into per-request ranked lists.
+
+    A request whose rows repeat a doc id or whose scores rise with rank
+    raises :class:`FormatError` with the line of its first row.
+    """
+    per_qid: dict[str, list[tuple[int, str, float]]] = {}  # in order of first appearance
+    heads: dict[str, tuple[int, str]] = {}  # each request's first line and tag
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -445,13 +448,13 @@ def read_trec_run(path: str) -> list[RankedList]:
                 entry = (int(rank), doc_id, float(score))
             except ValueError as exc:
                 raise FormatError(lineno, f"{path}: {exc}") from None
-            if qid not in per_qid:
-                per_qid[qid] = []
-                tags[qid] = tag
-                order.append(qid)
-            per_qid[qid].append(entry)
+            per_qid.setdefault(qid, []).append(entry)
+            heads.setdefault(qid, (lineno, tag))
     runs = []
-    for qid in order:
-        rows = sorted(per_qid[qid])
-        runs.append(RankedList(qid, [(d, s) for _r, d, s in rows], tags[qid]))
+    for qid, rows in per_qid.items():
+        lineno, tag = heads[qid]
+        try:
+            runs.append(RankedList(qid, [(d, s) for _r, d, s in sorted(rows)], tag))
+        except ValueError as exc:  # a repeated doc id, or a score above the one ranked before
+            raise FormatError(lineno, f"{path}: request {qid!r}: {exc}") from None
     return runs

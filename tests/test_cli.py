@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sqe.cli import main
 from sqe.kb_graph import EdgeKind, load_snapshot
@@ -215,6 +216,31 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["ingest", "--nodes", bad_nodes, "--edges", edges]) == 2
     capsys.readouterr()
 
+    def exits_2(*argv) -> str:  # the one error line
+        code = main([str(arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("sqe: error:") and err.count("\n") == 1, err
+        return err
+
+    qrels = tmp_path / "q.txt"
+    qrels.write_text("1 0 d1 1\n")
+    run = tmp_path / "bad.trec"
+    for rows, fault in [("1 Q0 d1 1 1.0 x\n1 Q0 d1 2 0.5 x\n", "doc ids must be unique"),
+                        ("1 Q0 d1 1 0.5 x\n1 Q0 d2 2 1.0 x\n", "scores must be non-increasing")]:
+        run.write_text("2 Q0 d1 1 1.0 x\n" + rows)
+        for argv in (["merge", "--run", run, "--run", run, "--cutoffs", "5"],
+                     ["eval", "--run", run, "--qrels", qrels],
+                     ["ttest", "--run", run, "--run", run, "--qrels", qrels]):
+            err = exits_2(*argv)
+            assert "line 2:" in err and "request '1'" in err and fault in err
+
+    not_utf8 = tmp_path / "not-utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe1\tA\tAlpha\n")
+    exits_2("ingest", "--nodes", not_utf8, "--edges", edges)
+    exits_2("index", "--docs", not_utf8, "--out", tmp_path / "index.bin")
+    exits_2("eval", "--run", run, "--qrels", not_utf8)
+    exits_2("merge", "--run", not_utf8, "--run", run, "--cutoffs", "5")
+
 
 def test_search_k_below_one_exits_1(graffiti_index_file, capsys):
     assert main(["search", "--index", graffiti_index_file, "--query", "banksy", "--k", "0"]) == 1
@@ -400,3 +426,53 @@ def test_foreign_or_stale_snapshot_exits_2(kind, tmp_path, graffiti_kb, graffiti
     assert err.startswith("sqe: error:") and err.count("\n") == 1
     if kind in ("pickle", "bumped-version"):
         assert "re-create it with `sqe ingest --out`" in err
+
+
+# every file a subcommand reads, one per case; {bad} is the fuzzed file, the rest are good
+FILE_INPUTS = {
+    "ingest-nodes": ["ingest", "--nodes", "{bad}", "--edges", "{edges}"],
+    "ingest-edges": ["ingest", "--nodes", "{nodes}", "--edges", "{bad}"],
+    "index-docs": ["index", "--docs", "{bad}", "--out", "{out}"],
+    "run-topics": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{bad}"],
+    "run-config": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{topics}",
+                   "--config", "{bad}"],
+    "search-queries": ["search", "--index", "{index}", "--queries", "{bad}"],
+    "eval-run": ["eval", "--run", "{bad}", "--qrels", "{qrels}"],
+    "eval-qrels": ["eval", "--run", "{run}", "--qrels", "{bad}"],
+    "merge-run": ["merge", "--run", "{run}", "--run", "{bad}", "--cutoffs", "2"],
+    "ttest-run": ["ttest", "--run", "{bad}", "--run", "{run}", "--qrels", "{qrels}"],
+    "ttest-qrels": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{bad}"],
+    "link-stop-titles": ["link", "--kb", "{kb}", "--text", "graffiti", "--stop-titles", "{bad}"],
+}
+# pieces of every file format above, so that some fuzzed lines almost parse
+_PIECES = st.sampled_from([
+    "\t", " ", "0", "1", "-1", "2", "0.5", "nan", "inf", "Q0", "A", "C", "AA", "AC", "CC", "a1",
+    "a2", "c1", "doc01", "b1", "graffiti", "banksy", "#", "=", ",", "plan", "eq1:both", "cutoffs",
+    "total", "mu", "#1(", "#combine(", ")", '{"id": ', '"text": ', '"d"', "}", "[]",
+])
+_LINES = st.lists(st.lists(_PIECES | st.text(max_size=3), max_size=8).map("".join), max_size=6)
+_FILE = (_LINES.map(lambda lines: "\n".join(lines).encode("utf-8"))
+         | st.binary(max_size=24)
+         | _LINES.map(lambda lines: b"\xff\xfe" + "\n".join(lines).encode("utf-8")))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(FILE_INPUTS)), content=_FILE)
+def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, graffiti_index_file,
+                                         capsys):
+    """Any bytes in any input file end in exit 0, 1 or 2, never in a traceback.
+    (The fixtures are read-only inputs, so every example may share them.)"""
+    files = {"bad": tmp_path / "bad.txt", "nodes": tmp_path / "n.tsv", "edges": tmp_path / "e.tsv",
+             "topics": tmp_path / "t.tsv", "run": tmp_path / "r.trec", "qrels": tmp_path / "q.txt",
+             "out": tmp_path / "out.bin", "kb": graffiti_kb, "index": graffiti_index_file}
+    write_tsv(files["nodes"], CABLE_NODES)
+    write_tsv(files["edges"], CABLE_EDGES)
+    files["topics"].write_text("b1\tbanksy\n")
+    files["run"].write_text("b1 Q0 doc01 1 1.000000 x\nb1 Q0 doc09 2 0.500000 x\n")
+    files["qrels"].write_text("b1 0 doc01 1\nb2 0 doc02 1\n")
+    files["bad"].write_bytes(content)
+    code = main([arg.format(**files) for arg in FILE_INPUTS[case]])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
