@@ -31,7 +31,7 @@ from .search_engine import (
     write_trec_run,
 )
 from .search_engine import load_index as _load_index
-from .text import tokenize
+from .text import open_text, tokenize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +126,6 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
             if args.config
             else pipeline.PipelineConfig()
         )
-    except UnicodeDecodeError:  # not a bad value: a file that does not decode is bad data
-        raise
     except ValueError as exc:  # a bad value, plan motif or cutoff in the config
         raise SystemExit(_usage_error(f"{args.config}: {exc}")) from None
     if getattr(args, "prf", False):
@@ -220,7 +218,7 @@ def cmd_search(args) -> int:
         queries = [("1", args.query)]
     elif args.queries:
         queries = []
-        with open(args.queries, encoding="utf-8") as fh:
+        with open_text(args.queries) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -276,10 +274,11 @@ def cmd_merge(args) -> int:
 
 def cmd_eval(args) -> int:
     qrels = evaluation.Qrels.load(args.qrels)
+    # every run is read and scored before anything is written, so a bad one leaves no partial table
+    reports = [(path, evaluation.evaluate(read_trec_run(path), qrels, args.k)) for path in args.run]
     with _output(args.out) as out:
         out.write("\t".join(["run"] + [f"P@{k}" for k in args.k]) + "\n")
-        for path in args.run:
-            report = evaluation.evaluate(read_trec_run(path), qrels, args.k)
+        for path, report in reports:
             out.write(
                 "\t".join([Path(path).name] + [f"{report.means[k]:.4f}" for k in args.k]) + "\n"
             )
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (SqeError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is bad data
+    except (SqeError, OSError) as exc:
         print(f"sqe: error: {exc}", file=sys.stderr)
         return 2
 

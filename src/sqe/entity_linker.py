@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import NoEntities
 from .kb_graph import KBGraph, NodeId, NodeKind
-from .text import normalize_title, tokenize
+from .text import normalize_title, open_text, tokenize
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class LinkedEntities:
 
 def load_stop_titles(path: str) -> set[str]:
     """One normalized title per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return {normalize_title(line) for line in fh if line.strip()}
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, LengthMismatch, TooFewPairs, UnknownQuery
 from .search_engine import RankedList
+from .text import open_text
 
 DEFAULT_KS = (5, 10, 15, 20, 30, 100, 200, 500, 1000)
 
@@ -29,7 +30,7 @@ class Qrels:
     def load(cls, path: str) -> "Qrels":
         """Whitespace-separated ``qid 0 docid rel`` rows; duplicates rejected."""
         judgments: dict[str, dict[str, int]] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

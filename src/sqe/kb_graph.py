@@ -28,7 +28,7 @@ import numpy as np
 
 from .archive import ArchiveFormat
 from .errors import FormatError, KindMismatch, NotAnArticle, NotACategory
-from .text import normalize_title
+from .text import normalize_title, open_text
 
 NodeId = int
 
@@ -342,7 +342,7 @@ def build_graph(nodes: Sequence[tuple[str, str, str]],
 
 
 def _read_tsv(path: str) -> list[tuple[str, ...]]:
-    with open(path, encoding="utf-8") as fh:  # universal newlines: no "\r" is left
+    with open_text(path) as fh:  # universal newlines: no "\r" is left
         # an empty line is a row of no columns, so line numbers stay aligned
         return [tuple(raw.rstrip("\n").split("\t")) if raw != "\n" else () for raw in fh]
 

@@ -1,7 +1,8 @@
 """Query-graph construction from triangular and square structural motifs.
 
 Both motifs start from an input article that is doubly linked with a
-candidate article.  The triangular motif additionally requires the
+candidate article, so one walk over each input's double links weighs
+every candidate for both.  The triangular motif additionally requires the
 candidate to belong to at least the input's exact categories; the square
 motif requires a containment edge, in either direction, between one
 category of each.  Every article entering the query graph carries the
@@ -32,67 +33,45 @@ class QueryGraph:
     expansion: dict[NodeId, int] = field(default_factory=dict)
     motif_kind: MotifKind = MotifKind.BOTH
 
-    def titles(self, g: KBGraph) -> dict[str, int]:
-        return {g.title(a): w for a, w in self.expansion.items()}
 
-
-def _checked_inputs(g: KBGraph, inputs: Iterable[NodeId]) -> list[NodeId]:
+def _motif_graphs(g: KBGraph, inputs: Iterable[NodeId]) -> tuple[QueryGraph, QueryGraph]:
+    """The triangular and square query graphs of ``inputs``, from one walk."""
     nodes = sorted(set(inputs))
     if not nodes:
         raise EmptyInput("expansion needs at least one input node")
     for i in nodes:
         if not g.is_article(i):
             raise NotAnArticle(f"input node {i} ({g.title(i)!r}) is not an article")
-    return nodes
-
-
-def expand_triangular(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
-    """Candidates sharing a double link and a superset of the input's categories.
-
-    An input with no categories contributes nothing: the motif always has
-    a shared category as its third corner, so an unconditional superset
-    over the empty set is not allowed to match.
-    """
-    nodes = _checked_inputs(g, inputs)
-    input_set = set(nodes)
-    weights: Counter[NodeId] = Counter()
+    input_set = frozenset(nodes)
+    tri: Counter[NodeId] = Counter()
+    sq: Counter[NodeId] = Counter()
     for i in nodes:
         cats_i = g.categories_of(i)
-        if not cats_i:
-            continue
-        for a in map(int, g.doubly_linked_neighbors(i)):
-            if a in input_set:
-                continue
-            if cats_i <= g.categories_of(a):
-                weights[a] += len(cats_i)
-    return QueryGraph(frozenset(nodes), dict(weights), MotifKind.TRIANGULAR)
-
-
-def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
-    """Candidates whose categories contain, or are contained in, an input's.
-
-    Each unordered double link contributes one instance per (input
-    category, candidate category) pair joined by a CC edge in either
-    direction.
-    """
-    nodes = _checked_inputs(g, inputs)
-    input_set = set(nodes)
-    weights: Counter[NodeId] = Counter()
-    for i in nodes:
         # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
         linked: Counter[NodeId] = Counter()
-        for ci in g.categories_of(i):
+        for ci in cats_i:
             linked.update(g.linked_categories(ci).tolist())
         for a in map(int, g.doubly_linked_neighbors(i)):
             if a in input_set:
                 continue
-            pairs = sum(linked[ca] for ca in g.categories_of(a))
+            cats_a = g.categories_of(a)
+            if cats_i and cats_i <= cats_a:  # no category, no triangle: the third corner is a shared one
+                tri[a] += len(cats_i)
+            pairs = sum(linked[ca] for ca in cats_a)
             if pairs:
-                weights[a] += pairs
-    return QueryGraph(frozenset(nodes), dict(weights), MotifKind.SQUARE)
+                sq[a] += pairs
+    return (QueryGraph(input_set, dict(tri), MotifKind.TRIANGULAR),
+            QueryGraph(input_set, dict(sq), MotifKind.SQUARE))
 
 
-_EXPANDERS = {MotifKind.TRIANGULAR: expand_triangular, MotifKind.SQUARE: expand_square}
+def expand_triangular(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
+    """Candidates sharing a double link and a superset of the input's categories."""
+    return _motif_graphs(g, inputs)[0]
+
+
+def expand_square(g: KBGraph, inputs: Iterable[NodeId]) -> QueryGraph:
+    """Candidates whose categories contain, or are contained in, an input's."""
+    return _motif_graphs(g, inputs)[1]
 
 
 def expand(
@@ -103,21 +82,18 @@ def expand(
 ) -> QueryGraph:
     """Build a query graph with one motif family or the weight-sum of both.
 
-    ``shared`` is a caller-owned memo for one input set: TRIANGULAR and
-    SQUARE graphs are read from it or computed into it, and BOTH is the
-    sum of those two entries, so each motif runs at most once per memo.
+    ``shared`` is a caller-owned memo for one input set: the first call
+    walks the graph once and stores its TRIANGULAR and SQUARE graphs, later
+    calls read them, and BOTH is the sum of the two entries.
     """
-    if shared is None:
-        shared = {}
+    shared = {} if shared is None else shared
+    if MotifKind.TRIANGULAR not in shared:
+        shared[MotifKind.TRIANGULAR], shared[MotifKind.SQUARE] = _motif_graphs(g, inputs)
+    elif shared[MotifKind.TRIANGULAR].input_nodes != frozenset(inputs):
+        raise ValueError("a shared expansion memo serves one input set only")
     if kind is not MotifKind.BOTH:
-        qg = shared.get(kind)
-        if qg is None:
-            qg = shared[kind] = _EXPANDERS[kind](g, inputs)
-        elif qg.input_nodes != frozenset(inputs):
-            raise ValueError("a shared expansion memo serves one input set only")
-        return qg
-    tri = expand(g, inputs, MotifKind.TRIANGULAR, shared)
-    sq = expand(g, inputs, MotifKind.SQUARE, shared)
+        return shared[kind]
+    tri, sq = shared[MotifKind.TRIANGULAR], shared[MotifKind.SQUARE]
     combined = Counter(tri.expansion)
     combined.update(sq.expansion)
     return QueryGraph(tri.input_nodes, dict(combined), MotifKind.BOTH)

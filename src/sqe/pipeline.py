@@ -45,7 +45,7 @@ from .search_engine import (
     prf_expand,
     search,
 )
-from .text import tokenize
+from .text import open_text, tokenize
 
 DEFAULT_PLAN = (
     ("eq1", MotifKind.TRIANGULAR),
@@ -97,7 +97,7 @@ class PipelineConfig:
     def from_file(cls, path: str) -> "PipelineConfig":
         """Flat ``key=value`` text; '#' starts a comment."""
         values: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -150,9 +150,9 @@ class RequestReport:
 
 
 def load_topics(path: str) -> list[InputRequest]:
-    """``<qid>\\t<keyword text>`` per line."""
-    topics = []
-    with open(path, encoding="utf-8") as fh:
+    """``<qid>\\t<keyword text>`` per line; a request id may not repeat."""
+    topics: dict[str, InputRequest] = {}
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -160,10 +160,13 @@ def load_topics(path: str) -> list[InputRequest]:
             if "\t" not in line:
                 raise FormatError(lineno, f"{path}: expected <qid>\\t<text>")
             qid, text = line.split("\t", 1)
+            qid = qid.strip()
             if not text.strip():
                 raise FormatError(lineno, f"{path}: empty request text")
-            topics.append(InputRequest(qid.strip(), text))
-    return topics
+            if qid in topics:
+                raise FormatError(lineno, f"{path}: duplicate request id {qid!r}")
+            topics[qid] = InputRequest(qid, text)
+    return list(topics.values())
 
 
 def merge_lists(

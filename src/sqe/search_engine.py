@@ -39,7 +39,7 @@ import numpy as np
 from .archive import ArchiveFormat
 from .errors import DuplicateDocId, EmptyCollection, FormatError
 from .query_lang import Combine, QueryNode, Term, Weight, Window
-from .text import tokenize
+from .text import open_text, tokenize
 
 DEFAULT_MU = 2500.0
 # The largest Dirichlet mu accepted.  mu * cf / |C| is at most mu, so up to
@@ -193,7 +193,7 @@ def load_index(path: str) -> Index:
 
 def read_documents(path: str) -> Iterable[Document]:
     """JSON-lines: one object per line with fields ``id`` and ``text``."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -347,7 +347,7 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return frozenset(w for w in fh.read().split() if w)
 
 
@@ -436,7 +436,7 @@ def read_trec_run(path: str) -> list[RankedList]:
     """
     per_qid: dict[str, list[tuple[int, str, float]]] = {}  # in order of first appearance
     heads: dict[str, tuple[int, str]] = {}  # each request's first line and tag
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

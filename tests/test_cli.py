@@ -242,6 +242,44 @@ def test_data_errors_exit_2(tmp_path, capsys):
     exits_2("merge", "--run", not_utf8, "--run", run, "--cutoffs", "5")
 
 
+def test_undecodable_byte_past_first_read_chunk_names_its_line(tmp_path, capsys):
+    nodes = tmp_path / "n.tsv"
+    rows = b"".join(f"a{i}\tA\tTitle {i}\n".encode() for i in range(1, 2000))
+    assert len(rows) > 16384  # the reader decodes in chunks of a few KiB
+    nodes.write_bytes(rows + b"a2000\tA\tTitle \xff\n")
+    edges = write_tsv(tmp_path / "e.tsv", [])
+    assert main(["ingest", "--nodes", str(nodes), "--edges", edges]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sqe: error: line 2000: {nodes}: not UTF-8 (invalid start byte, byte 0xff)\n"
+
+
+def test_eval_with_a_bad_run_writes_no_table(tmp_path, capsys):
+    ok = tmp_path / "ok.trec"
+    ok.write_text("q1 Q0 docA 1 1.000000 x\n")
+    bad = tmp_path / "bad.trec"
+    bad.write_text("q1 Q0 docA 1\n")
+    qrels = tmp_path / "q.txt"
+    qrels.write_text("q1 0 docA 1\n")
+    table = tmp_path / "table.tsv"
+    for second in (bad, tmp_path / "missing.trec"):
+        argv = ["eval", "--run", str(ok), "--run", str(second), "--qrels", str(qrels)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--out", str(table)]) == 2
+        assert not table.exists()
+
+
+def test_run_with_a_repeated_topic_id_exits_2(tmp_path, graffiti_kb, graffiti_index_file, capsys):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("73\tgraffiti street art\n73\tbanksy\n")
+    run_path = tmp_path / "out.trec"
+    code = main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file,
+                 "--topics", str(topics), "--out", str(run_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"sqe: error: line 2: {topics}: duplicate request id '73'\n"
+    assert not run_path.exists()
+
+
 def test_search_k_below_one_exits_1(graffiti_index_file, capsys):
     assert main(["search", "--index", graffiti_index_file, "--query", "banksy", "--k", "0"]) == 1
     assert "--k: must be an integer >= 1, got '0'" in capsys.readouterr().err
@@ -475,4 +513,10 @@ def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, g
     err = capsys.readouterr().err
     assert code in (0, 1, 2) and "Traceback" not in err
     if code:
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError as exc:  # every reader names the file and the line of the bad byte
+        line = content.count(b"\n", 0, exc.start) + 1
+        assert code == 2 and f"line {line}: {files['bad']}: not UTF-8" in err, err

@@ -1,11 +1,13 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqe.errors import EmptyInput, NotAnArticle
+from sqe import motif_expander
 from sqe.kb_graph import build_graph
 from sqe.motif_expander import MotifKind, expand, expand_square, expand_triangular
 
@@ -186,13 +188,25 @@ def test_shared_memo_matches_fresh_expansions_in_every_order(seed, n_nodes, n_in
     both = Counter(fresh[MotifKind.TRIANGULAR])
     both.update(fresh[MotifKind.SQUARE])
     assert fresh[MotifKind.BOTH] == dict(both)
+    real_walk = motif_expander._motif_graphs
     for order in itertools.permutations(MotifKind):
         shared = {}
-        for kind in order:
-            qg = expand(g, inputs, kind, shared)
-            assert (qg.motif_kind, qg.expansion) == (kind, fresh[kind])
-            assert qg.input_nodes == frozenset(inputs)
+        with mock.patch.object(motif_expander, "_motif_graphs", wraps=real_walk) as walk:
+            for kind in order:
+                qg = expand(g, inputs, kind, shared)
+                assert (qg.motif_kind, qg.expansion) == (kind, fresh[kind])
+                assert qg.input_nodes == frozenset(inputs)
+        assert walk.call_count == 1  # one walk per memo fills both motif entries
         assert set(shared) == {MotifKind.TRIANGULAR, MotifKind.SQUARE}
+
+
+@pytest.mark.parametrize("kind", list(MotifKind))
+def test_expand_reads_a_one_shot_iterator_once(graffiti_graph, kind):
+    g = graffiti_graph
+    ids = [g.article_by_title("Graffiti"), g.article_by_title("Street_art")]
+    qg = expand(g, iter(ids), kind)
+    assert qg.expansion == expand(g, ids, kind).expansion
+    assert qg.input_nodes == frozenset(ids)
 
 
 def test_shared_memo_serves_one_input_set(graffiti_graph):

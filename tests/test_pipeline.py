@@ -204,6 +204,11 @@ def test_load_topics(tmp_path):
     bad.write_text("justtext\n")
     with pytest.raises(FormatError):
         load_topics(str(bad))
+    dup = tmp_path / "dup.tsv"
+    dup.write_text("73\tgraffiti\n 73 \tbanksy\n")  # ids are compared as written to the run file
+    with pytest.raises(FormatError) as exc:
+        load_topics(str(dup))
+    assert exc.value.line == 2
 
 
 # -- run_request -------------------------------------------------------------------
