@@ -8,21 +8,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import evaluation, pipeline
 from .cycle_analysis import MAX_CYCLE_LEN, MIN_CYCLE_LEN, cycle_length_stats, enumerate_cycles
 from .entity_linker import InputRequest
-from .errors import SqeError
+from .errors import FormatError, SqeError
 from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
 from .search_engine import (
-    DEFAULT_MU,
-    MAX_MU,
     RankedList,
     build_index,
+    is_run_id,
     prf_expand,
     read_documents,
     read_trec_run,
@@ -32,6 +32,8 @@ from .search_engine import (
 )
 from .search_engine import load_index as _load_index
 from .text import open_text, tokenize
+
+_DEFAULTS = pipeline.PipelineConfig()  # flags that set a config field default to it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,44 +65,31 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _checked(rule: pipeline.Rule):
+    """An argparse type that converts a flag's value and checks it by ``rule``."""
+    def convert(text: str):
+        with contextlib.suppress(ValueError):
+            value = rule.convert(text)
+            if rule.holds(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule.wording}, got {text!r}")
+    return convert
+
+
+_positive_int = _checked(pipeline.POSITIVE_INT)
 
 
 def _positive_ints(text: str) -> tuple[int, ...]:  # comma-separated; an error names the bad part
     return tuple(_positive_int(part) for part in text.split(","))
 
 
-def _mu(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0 < value <= MAX_MU:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a number > 0 and <= {MAX_MU:g}, got {text!r}")
-    return value
-
-
-def _alpha(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0 < value < 1:  # also false for nan
-        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, got {text!r}")
-    return value
-
-
-def _kb_flags(sub):
+def _kb_flags(sub, linker: bool = False):
     sub.add_argument("--kb", help="graph snapshot written by ingest --out")
     sub.add_argument("--nodes", help="nodes TSV (with --edges)")
     sub.add_argument("--edges", help="edges TSV (with --nodes)")
+    if linker:
+        sub.add_argument("--stop-titles")
+        sub.add_argument("--max-ngram", type=_positive_int, default=_DEFAULTS.max_ngram)
 
 
 def _resolve_entities(g, args) -> list[int]:
@@ -117,20 +106,6 @@ def _resolve_entities(g, args) -> list[int]:
     else:
         raise SystemExit(_usage_error("provide --entities or --text"))
     return nodes
-
-
-def _config_from_args(args) -> pipeline.PipelineConfig:
-    try:
-        cfg = (
-            pipeline.PipelineConfig.from_file(args.config)
-            if args.config
-            else pipeline.PipelineConfig()
-        )
-    except ValueError as exc:  # a bad value, plan motif or cutoff in the config
-        raise SystemExit(_usage_error(f"{args.config}: {exc}")) from None
-    if getattr(args, "prf", False):
-        cfg.prf = True
-    return cfg
 
 
 def cmd_ingest(args) -> int:
@@ -150,10 +125,7 @@ def cmd_ingest(args) -> int:
 def cmd_index(args) -> int:
     idx = build_index(read_documents(args.docs))
     save_index(idx, args.out)
-    print(
-        f"indexed {idx.n_docs} documents, {idx.collection_length} tokens",
-        file=sys.stderr,
-    )
+    print(f"indexed {idx.n_docs} documents, {idx.collection_length} tokens", file=sys.stderr)
     return 0
 
 
@@ -215,9 +187,9 @@ def cmd_build_query(args) -> int:
 def cmd_search(args) -> int:
     idx = _load_index(args.index)
     if args.query:
-        queries = [("1", args.query)]
+        queries = {"1": args.query}
     elif args.queries:
-        queries = []
+        queries = {}
         with open_text(args.queries) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -225,11 +197,18 @@ def cmd_search(args) -> int:
                 qid, _, text = line.rstrip("\n").partition("\t")
                 if not text:  # no qid prefix
                     qid, text = str(lineno), line.strip()
-                queries.append((qid, text))
+                qid = qid.strip()
+                if not is_run_id(qid):
+                    raise FormatError(
+                        lineno, f"{args.queries}: request id {qid!r} is empty or holds whitespace"
+                    )
+                if qid in queries:
+                    raise FormatError(lineno, f"{args.queries}: duplicate request id {qid!r}")
+                queries[qid] = text
     else:
         return _usage_error("provide --query or --queries")
     runs = []
-    for qid, text in queries:
+    for qid, text in queries.items():
         tree = parse(text)
         if args.prf:
             tree = prf_expand(idx, tree, mu=args.mu)
@@ -240,7 +219,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+    try:
+        cfg = pipeline.PipelineConfig.from_file(args.config) if args.config else _DEFAULTS
+    except ValueError as exc:  # a bad value, plan motif or cutoff in the config
+        return _usage_error(f"{args.config}: {exc}")
+    cfg = dataclasses.replace(cfg, prf=cfg.prf or args.prf)
     g = _load_kb(args)
     idx = _load_index(args.index)
     topics = pipeline.load_topics(args.topics)
@@ -318,20 +301,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("link", help="match request text to article titles")
-    _kb_flags(p)
+    _kb_flags(p, linker=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("expand", help="motif expansion for given entities or text")
-    _kb_flags(p)
+    _kb_flags(p, linker=True)
     p.add_argument("--motif", choices=["triangular", "square", "both"], default="both")
     p.add_argument("--entities", nargs="+", help="explicit article titles")
     p.add_argument("--text", help="link entities from request text instead")
-    p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_expand)
 
@@ -345,12 +324,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_cycles)
 
     p = sub.add_parser("build-query", help="render the expanded query for a request")
-    _kb_flags(p)
+    _kb_flags(p, linker=True)
     p.add_argument("--text")
     p.add_argument("--entities", nargs="+")
     p.add_argument("--motif", choices=["triangular", "square", "both"])
-    p.add_argument("--stop-titles", dest="stop_titles")
-    p.add_argument("--max-ngram", dest="max_ngram", type=_positive_int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_query)
 
@@ -358,8 +335,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--query", help="a single rendered query")
     p.add_argument("--queries", help="file with one query per line, optional <qid>TAB prefix")
-    p.add_argument("--k", type=_positive_int, default=1000)
-    p.add_argument("--mu", type=_mu, default=DEFAULT_MU)
+    p.add_argument("--k", type=_positive_int, default=_DEFAULTS.total)  # a run's depth
+    p.add_argument("--mu", type=_checked(pipeline.MU), default=_DEFAULTS.mu)
     p.add_argument("--prf", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -377,8 +354,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="range-stitch several run files")
     p.add_argument("--run", action="append", required=True)
-    p.add_argument("--cutoffs", type=_positive_ints, default=(5, 30))
-    p.add_argument("--total", type=_positive_int, default=1000)
+    p.add_argument("--cutoffs", type=_positive_ints, default=_DEFAULTS.cutoffs)
+    p.add_argument("--total", type=_positive_int, default=_DEFAULTS.total)
     p.add_argument("--out")
     p.set_defaults(func=cmd_merge)
 
@@ -394,7 +371,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", action="append", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=_positive_int, default=5)
-    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--alpha", type=_checked(pipeline.OPEN_UNIT), default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ttest)
 

@@ -23,11 +23,12 @@ None of them is kept on the index, the graph or this module.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from typing import IO, Sequence
+from typing import IO, Any, Callable, NamedTuple, Sequence
 
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
@@ -41,6 +42,7 @@ from .search_engine import (
     Leaves,
     RankedList,
     WindowMatches,
+    is_run_id,
     load_stopwords,
     prf_expand,
     search,
@@ -52,6 +54,21 @@ DEFAULT_PLAN = (
     ("eq2", MotifKind.BOTH),
     ("eq3", MotifKind.SQUARE),
 )
+
+
+class Rule(NamedTuple):  # a value rule that config fields and command-line flags share
+    convert: type
+    holds: Callable[[Any], bool]  # false for nan
+    wording: str
+
+    def check(self, name: str, value) -> None:
+        if not self.holds(value):
+            raise ValueError(f"{name} must be {self.wording}, got {value}")
+
+
+POSITIVE_INT = Rule(int, lambda v: v >= 1, "an integer >= 1")
+MU = Rule(float, lambda v: 0 < v <= MAX_MU, f"a number > 0 and <= {MAX_MU:g}")
+OPEN_UNIT = Rule(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 
 
 @dataclass
@@ -80,22 +97,23 @@ class PipelineConfig:
                 f"plan of {len(self.plan)} entries needs {len(self.plan) - 1} cutoffs, "
                 f"got {len(self.cutoffs)}"
             )
-        if any(c <= 0 for c in self.cutoffs):
-            raise ValueError("cutoffs must be strictly positive")
-        if self.total < 1:
-            raise ValueError(f"total must be >= 1, got {self.total}")
+        for c in self.cutoffs:
+            POSITIVE_INT.check("cutoff", c)
+        POSITIVE_INT.check("total", self.total)
+        POSITIVE_INT.check("max_ngram", self.max_ngram)
+        MU.check("mu", self.mu)
+        OPEN_UNIT.check("orig_weight", self.orig_weight)
         if sum(self.cutoffs) > self.total:
             raise ValueError("cutoffs must not exceed the total")
-        if not 0 < self.mu <= MAX_MU:  # also false for nan
-            raise ValueError(f"mu must be a number > 0 and <= {MAX_MU:g}, got {self.mu}")
-        if not 0 < self.orig_weight < 1:
-            raise ValueError(f"orig_weight must lie strictly between 0 and 1, got {self.orig_weight}")
-        if self.max_ngram < 1:
-            raise ValueError(f"max_ngram must be >= 1, got {self.max_ngram}")
+        if not is_run_id(self.tag):  # a run line's last field
+            raise ValueError(f"tag must be non-empty, with no whitespace, got {self.tag!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        """Flat ``key=value`` text; '#' starts a comment."""
+        """Flat ``key=value`` text; '#' starts a comment.  Each key is a field
+        name, less a ``_path`` suffix; its value converts by the type of the
+        field's default (``str`` for a path), but for ``plan``, ``cutoffs``
+        and ``prf``, which have their own syntax."""
         values: dict[str, str] = {}
         with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -107,34 +125,22 @@ class PipelineConfig:
                 key, value = (s.strip() for s in line.split("=", 1))
                 values[key] = value
         kwargs: dict = {}
-        if "plan" in values:
-            plan = []
-            for item in values.pop("plan").split(","):
-                if ":" not in item:
-                    raise FormatError(0, f"{path}: plan entry {item!r} is not label:kind")
-                label, kind = item.split(":", 1)
-                plan.append((label.strip(), MotifKind(kind.strip().lower())))
-            kwargs["plan"] = tuple(plan)
-        if "cutoffs" in values:  # an empty value is no cutoffs, for a one-entry plan
-            text = values.pop("cutoffs")
-            kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
-        for key, conv in (
-            ("total", int),
-            ("mu", float),
-            ("fb_docs", int),
-            ("fb_terms", int),
-            ("orig_weight", float),
-            ("max_ngram", int),
-            ("tag", str),
-        ):
-            if key in values:
-                kwargs[key] = conv(values.pop(key))
-        if "prf" in values:
-            kwargs["prf"] = values.pop("prf").lower() in ("on", "true", "1", "yes")
-        if "stop_titles" in values:
-            kwargs["stop_titles_path"] = values.pop("stop_titles")
-        if "stopwords" in values:
-            kwargs["stopwords_path"] = values.pop("stopwords")
+        for f in fields(cls):
+            text = values.pop(f.name.removesuffix("_path"), None)
+            if text is None:
+                continue
+            if f.name == "plan":
+                pairs = [item.split(":", 1) for item in text.split(",")]
+                bad = [pair[0] for pair in pairs if len(pair) == 1]
+                if bad:
+                    raise FormatError(0, f"{path}: plan entry {bad[0]!r} is not label:kind")
+                kwargs["plan"] = tuple((l.strip(), MotifKind(k.strip().lower())) for l, k in pairs)
+            elif f.name == "cutoffs":  # an empty value is no cutoffs, for a one-entry plan
+                kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
+            elif f.name == "prf":
+                kwargs["prf"] = text.lower() in ("on", "true", "1", "yes")
+            else:
+                kwargs[f.name] = text if f.default is None else type(f.default)(text)
         if values:
             raise FormatError(0, f"{path}: unknown config keys {sorted(values)}")
         return cls(**kwargs)
@@ -150,7 +156,7 @@ class RequestReport:
 
 
 def load_topics(path: str) -> list[InputRequest]:
-    """``<qid>\\t<keyword text>`` per line; a request id may not repeat."""
+    """``<qid>\\t<keyword text>`` per line; an id fits a run line and may not repeat."""
     topics: dict[str, InputRequest] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -161,6 +167,8 @@ def load_topics(path: str) -> list[InputRequest]:
                 raise FormatError(lineno, f"{path}: expected <qid>\\t<text>")
             qid, text = line.split("\t", 1)
             qid = qid.strip()
+            if not is_run_id(qid):
+                raise FormatError(lineno, f"{path}: request id {qid!r} is empty or holds whitespace")
             if not text.strip():
                 raise FormatError(lineno, f"{path}: empty request text")
             if qid in topics:
@@ -177,7 +185,8 @@ def merge_lists(
     The first list contributes its first cutoff entries, each following
     list appends up to its quota of documents not already taken
     (duplicates do not consume quota), and the final list fills up to
-    ``total``.  Scores are replaced by total - rank + 1.
+    ``total``.  Scores are replaced by total - rank + 1, as floats that
+    stop at the largest one.
     """
     if len(lists) != len(cutoffs) + 1:
         raise LengthMismatch(f"{len(lists)} lists need {len(lists) - 1} cutoffs, got {len(cutoffs)}")
@@ -199,7 +208,8 @@ def merge_lists(
             taken.append(doc_id)
             seen.add(doc_id)
             appended += 1
-    entries = [(doc_id, float(total - rank)) for rank, doc_id in enumerate(taken)]
+    top = min(total, sys.float_info.max)  # float(total) would overflow past it
+    entries = [(doc_id, float(top - rank)) for rank, doc_id in enumerate(taken)]
     return RankedList(lists[0].request_id, entries, lists[0].tag)
 
 

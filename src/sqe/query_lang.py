@@ -10,6 +10,7 @@ to text and parse back; render and parse are inverse up to whitespace.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -20,6 +21,10 @@ from .motif_expander import QueryGraph
 from .text import normalize_title, tokenize
 
 QueryNode = Union["Term", "Window", "Combine", "Weight"]
+
+# The largest window size.  Search subtracts it from int64 token positions,
+# and as a power of two it compares exactly with the parser's float reading.
+MAX_WINDOW = 2**62
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,8 @@ class Window:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        if self.n < 1:
-            raise ValueError("window size must be >= 1")
+        if not 1 <= self.n <= MAX_WINDOW:
+            raise ValueError(f"window size must be >= 1 and <= {MAX_WINDOW}")
         if not self.tokens:
             raise ValueError("window needs at least one token")
         if self.display is not None and self.display == " ".join(self.tokens):
@@ -73,8 +78,8 @@ class Weight:
         )
         if not self.entries:
             raise ValueError("weight needs at least one entry")
-        if any(w <= 0 for w, _c in self.entries):
-            raise ValueError("weights must be strictly positive")
+        if not all(0 < w < math.inf for w, _c in self.entries):
+            raise ValueError("weights must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,16 @@ class ExpandedQuery:
 
 def phrase(title: str, n: int = 1) -> Window:
     """Exact-phrase window for a title; keeps parentheses etc. for display."""
-    return _title_window(title, normalize_title(title), n)
-
-
-def _title_window(title: str, norm: str, n: int = 1) -> Window:
-    """``phrase(title, n)``, given ``norm``, the normalized ``title``."""
-    toks = tokenize(norm)
-    if not toks:
+    window = _title_window(normalize_title(title), n)
+    if window is None:
         raise ValueError(f"title has no tokens: {title!r}")
-    return Window(n, tuple(toks), display=norm)
+    return window
+
+
+def _title_window(norm: str, n: int = 1) -> Window | None:
+    """``phrase`` of the normalized title ``norm``; None when it has no tokens."""
+    toks = tokenize(norm)
+    return Window(n, tuple(toks), display=norm) if toks else None
 
 
 def build_expanded_query(
@@ -117,7 +123,9 @@ def build_expanded_query(
     """Assemble input, entity and feature parts into one expanded query.
 
     Feature entries take their weight from the query graph's motif counts
-    and are ordered by weight descending, then normalized title ascending.
+    and are ordered by weight descending, then normalized title ascending;
+    a feature whose title has no tokens is left out.  An entity title with
+    no tokens raises :class:`EmptyInput` (the linker never links one).
     ``g`` resolves the query graph's node ids to titles and is required
     only when ``qg`` is given.
     """
@@ -128,7 +136,10 @@ def build_expanded_query(
 
     entity_part = None
     if entity_titles:
-        entity_part = Combine(tuple(phrase(t) for t in entity_titles))
+        windows = tuple(_title_window(normalize_title(t)) for t in entity_titles)
+        if None in windows:
+            raise EmptyInput(f"entity title {entity_titles[windows.index(None)]!r} has no tokens")
+        entity_part = Combine(windows)
 
     feature_part = None
     if qg is not None and qg.expansion:
@@ -138,7 +149,9 @@ def build_expanded_query(
             ((w, normalize_title(g.title(a))) for a, w in qg.expansion.items()),
             key=lambda e: (-e[0], e[1]),
         )
-        feature_part = Weight(tuple((w, _title_window(t, t)) for w, t in entries))
+        windows = ((w, _title_window(t)) for w, t in entries)
+        features = tuple((w, win) for w, win in windows if win is not None)
+        feature_part = Weight(features) if features else None
 
     return ExpandedQuery(input_part, entity_part, feature_part)
 
@@ -204,9 +217,11 @@ class _Parser:
         self.eat("#", "'#'")
         m = _NUMBER.match(self.text, self.pos)
         if m and self.text[m.end() : m.end() + 1] == "(":
-            n = int(float(m.group()))
+            size = float(m.group())
+            if not size <= MAX_WINDOW:  # also false for inf
+                raise self.error(f"a window size <= {MAX_WINDOW}")
             self.pos = m.end()
-            return self.parse_window(n)
+            return self.parse_window(int(size))
         if self.text.startswith("combine", self.pos):
             self.pos += len("combine")
             return self.parse_combine()
@@ -261,10 +276,10 @@ class _Parser:
             m = _NUMBER.match(self.text, self.pos)
             if not m:
                 raise self.error("a weight value")
-            self.pos = m.end()
             weight = float(m.group())
-            if weight <= 0:
-                raise self.error("a strictly positive weight")
+            if not 0 < weight < math.inf:
+                raise self.error("a finite, strictly positive weight")
+            self.pos = m.end()
             entries.append((weight, self.parse_node()))
         if not entries:
             raise self.error("at least one (weight, node) entry in #weight")

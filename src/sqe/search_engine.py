@@ -199,10 +199,12 @@ def read_documents(path: str) -> Iterable[Document]:
                 continue
             try:
                 obj = json.loads(line)
-                doc_id, text = obj["id"], obj["text"]
+                doc_id, text = str(obj["id"]), obj["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(lineno, f"{path}: bad document line ({exc})") from None
-            yield Document.from_text(str(doc_id), str(text))
+            if not is_run_id(doc_id):
+                raise FormatError(lineno, f"{path}: document id {doc_id!r} is empty or holds whitespace")
+            yield Document.from_text(doc_id, str(text))
 
 
 def _window_matches(idx: Index, n: int, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +258,8 @@ def _window_tf(
 
 def window_tf(idx: Index, doc: str | int, n: int, tokens: Sequence[str]) -> int:
     """Window match count inside one document."""
-    if n < 1:
-        raise ValueError("window size must be >= 1")
-    return int(_window_tf(idx, n, tokens)[idx.ordinal(doc)])
+    window = Window(n, tokens)  # checks the size
+    return int(_window_tf(idx, n, window.tokens)[idx.ordinal(doc)])
 
 
 def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
@@ -419,6 +420,12 @@ def prf_expand(
 
 
 # -- TREC run files ------------------------------------------------------------
+
+
+def is_run_id(text: str) -> bool:
+    """Whether ``text`` fits a run line's request or document id field:
+    non-empty, with no whitespace, which ``read_trec_run`` splits on."""
+    return text.split() == [text]
 
 
 def write_trec_run(runs: Iterable[RankedList], out: IO[str]) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pickle
@@ -5,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sqe.cli import main
+from sqe.cli import main, make_parser
 from sqe.kb_graph import EdgeKind, load_snapshot
-from sqe.search_engine import MAX_MU, Document, build_index
+from sqe.search_engine import MAX_MU, Document, build_index, read_trec_run
 
 from conftest import CABLE_EDGES, CABLE_NODES, GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 from test_pipeline import GRAFFITI_DOCS
@@ -329,7 +330,7 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
 
 @pytest.mark.parametrize("config", [
     "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
-    "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n",
+    "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n", "tag =\n", "tag = a b\n",
 ])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"
@@ -520,3 +521,177 @@ def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, g
     except UnicodeDecodeError as exc:  # every reader names the file and the line of the bad byte
         line = content.count(b"\n", 0, exc.start) + 1
         assert code == 2 and f"line {line}: {files['bad']}: not UTF-8" in err, err
+
+
+@pytest.fixture()
+def bang_kb(tmp_path):
+    """The graffiti KB plus an article titled "!!!", which has no tokens; it is
+    doubly linked with Graffiti and shares its category, so motifs find it."""
+    nodes = write_tsv(tmp_path / "bn.tsv", GRAFFITI_NODES + [("a10", "A", "!!!")])
+    edges = write_tsv(tmp_path / "be.tsv", GRAFFITI_EDGES + [("a1", "a10", "AA"),
+                                                            ("a10", "a1", "AA"), ("a10", "c1", "AC")])
+    snap = tmp_path / "bang.bin"
+    assert main(["ingest", "--nodes", nodes, "--edges", edges, "--out", str(snap)]) == 0
+    return str(snap)
+
+
+def _one_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("sqe: error:") and err.count("\n") == 1, err
+    return err
+
+
+def test_expansion_title_without_tokens_is_left_out(tmp_path, bang_kb, graffiti_index_file,
+                                                    capsys):
+    assert main(["expand", "--kb", bang_kb, "--motif", "triangular", "--text", "graffiti"]) == 0
+    assert "!!!\t1\n" in capsys.readouterr().out
+    assert main(["build-query", "--kb", bang_kb, "--text", "graffiti", "--motif", "both"]) == 0
+    query = capsys.readouterr().out
+    assert "#weight( 3.0 #1(public art) 3.0 #1(stencil)" in query and "!" not in query
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("73\tgraffiti\n")
+    out = tmp_path / "run.trec"
+    assert main(["run", "--kb", bang_kb, "--index", graffiti_index_file, "--topics", str(topics),
+                 "--out", str(out)]) == 0
+    assert out.read_text()
+    capsys.readouterr()
+    assert main(["build-query", "--kb", bang_kb, "--entities", "!!!"]) == 2
+    assert "input tokens are empty" in _one_error(capsys)  # the text defaults to the titles
+    assert main(["build-query", "--kb", bang_kb, "--entities", "Banksy", "!!!", "--text", "art"]) == 2
+    assert "entity title '!!!' has no tokens" in _one_error(capsys)
+
+
+# each reader of request or document ids, and a file whose second id cannot be written to a run
+ID_READERS = {
+    "run-topics": (["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{file}"],
+                   "1\tgraffiti\n{id}\tbanksy\n"),
+    "search-queries": (["search", "--index", "{index}", "--queries", "{file}"],
+                       "1\tgraffiti\n{id}\tbanksy\n"),
+    "index-docs": (["index", "--docs", "{file}"],
+                   '{{"id": "1", "text": "graffiti"}}\n{{"id": "{id}", "text": "banksy"}}\n'),
+}
+
+
+@pytest.mark.parametrize("bad_id", ["", "7 3", "1"], ids=["empty", "whitespace", "repeated"])
+@pytest.mark.parametrize("reader", sorted(ID_READERS))
+def test_id_that_a_run_cannot_hold_exits_2(reader, bad_id, tmp_path, graffiti_kb,
+                                           graffiti_index_file, capsys):
+    argv, content = ID_READERS[reader]
+    path, out = tmp_path / "ids.txt", tmp_path / "out.bin"
+    path.write_text(content.format(id=bad_id))
+    files = {"kb": graffiti_kb, "index": graffiti_index_file, "file": str(path)}
+    assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 2
+    assert repr(bad_id) in _one_error(capsys)
+    assert not out.exists()
+
+
+def test_query_numbers_that_do_not_fit_exit_2(graffiti_index_file, tmp_path, capsys):
+    out = tmp_path / "run.trec"
+    for query in ("#99999999999999999999999(banksy street)", "#" + "9" * 400 + "(banksy street)",
+                  "#weight( " + "1" * 310 + " banksy )"):
+        assert main(["search", "--index", graffiti_index_file, "--query", query,
+                     "--out", str(out)]) == 2
+        assert "at position" in _one_error(capsys)
+        assert not out.exists()
+    assert main(["search", "--index", graffiti_index_file, "--query",
+                 f"#combine( #{2**62}(banksy street) #weight( {'9' * 300} art ) )",
+                 "--out", str(out)]) == 0
+    rows = [line.split() for line in out.read_text().splitlines()]
+    assert len(rows) == len(GRAFFITI_DOCS) and all(math.isfinite(float(r[4])) for r in rows)
+
+
+def _options_by_subcommand() -> dict[str, list[tuple[str, bool]]]:
+    """Each subcommand's options, read from the parser: the flag, and whether it takes a value."""
+    subs = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings[-1], a.nargs != 0) for a in p._actions
+                   if a.option_strings and a.dest != "help"] for name, p in subs.choices.items()}
+
+
+OPTIONS = _options_by_subcommand()
+# a good call of each subcommand; "@name" values are input files, the rest are literal
+GOOD_CALLS = {
+    "ingest": ["--nodes", "@nodes", "--edges", "@edges"],
+    "index": ["--docs", "@docs", "--out", "index.bin"],
+    "link": ["--kb", "@kb", "--text", "graffiti"],
+    "expand": ["--kb", "@kb", "--text", "graffiti"],
+    "analyze-cycles": ["--kb", "@kb", "--seeds", "Graffiti"],
+    "build-query": ["--kb", "@kb", "--text", "graffiti"],
+    "search": ["--index", "@index", "--query", "banksy"],
+    "run": ["--kb", "@kb", "--index", "@index", "--topics", "@topics"],
+    "merge": ["--run", "@run", "--run", "@run", "--cutoffs", "2"],
+    "eval": ["--run", "@run", "--qrels", "@qrels"],
+    "ttest": ["--run", "@run", "--run", "@run", "--qrels", "@qrels"],
+}
+INPUT_FILES = {  # besides "@nodes", "@edges", "@kb" and "@index", written by fixtures
+    "@docs": "".join(json.dumps({"id": d, "text": t}) + "\n" for d, t in GRAFFITI_DOCS[:3]),
+    "@topics": "1\tgraffiti street art\n2\tbanksy\n",
+    "@queries": "1\t#combine( banksy #1(street art) )\nstencil\n",
+    "@bad-ids": "7 3\tbanksy\n",
+    "@repeated-ids": "1\tbanksy\n1\tgraffiti\n",
+    "@run": "1 Q0 doc01 1 1.000000 x\n1 Q0 doc09 2 0.500000 x\n",
+    "@qrels": "1 0 doc01 1\n2 0 doc02 1\n",
+    "@config": "plan = one:both, two:square\ncutoffs = 2\ntotal = 20\nprf = on\n",
+}
+OUTPUT_FLAGS = ("--out", "--report")
+RUN_WRITERS = ("search", "run", "merge")
+_VALUES = (
+    st.sampled_from(["", " ", "nan", "-nan", "inf", "-inf", "-1", "0", "1", "3", "0.5", "1e308",
+                     "5,30", "5,", ",", "#", "(", ")", "#weight(", "#1(", "#combine(", "banksy",
+                     "#2(banksy street)", "both", "square", "Graffiti", "!!!", "@nodes", "@edges",
+                     "@kb", "@index", *INPUT_FILES])
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats().map(repr)
+    | st.integers(1, 400).map(lambda n: "9" * n)
+    | st.text(st.characters(exclude_characters="\x00"), max_size=8)  # argv cannot hold a NUL
+)
+_CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.lists(st.tuples(st.sampled_from(OPTIONS[command]).map(lambda o: o[0]),
+                                         _VALUES), max_size=3)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_CALLS)
+@example(call=("search", [("--query", "#99999999999999999999999(banksy street)")]))
+@example(call=("search", [("--query", "#" + "9" * 400 + "(banksy street)")]))
+@example(call=("search", [("--query", "#weight( " + "1" * 310 + " banksy )")]))
+@example(call=("search", [("--queries", "@bad-ids")]))
+@example(call=("search", [("--queries", "@repeated-ids")]))
+@example(call=("run", [("--topics", "@bad-ids")]))
+@example(call=("run", []))  # the KB's token-less "!!!" article expands "graffiti"
+@example(call=("build-query", [("--motif", "both")]))
+@example(call=("build-query", [("--entities", "!!!")]))
+@example(call=("merge", [("--total", "9" * 400)]))
+def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_index_file,
+                                          monkeypatch, capsys):
+    """Any value for any option ends in exit 0, 1 or 2, never in a traceback, and a
+    run that is written reads back with finite scores.  Outputs go to a fresh directory."""
+    assert set(GOOD_CALLS) == set(OPTIONS)  # every subcommand is fuzzed
+    command, extra = call
+    files = {"@kb": bang_kb, "@index": graffiti_index_file,
+             "@nodes": write_tsv(tmp_path / "n.tsv", CABLE_NODES),
+             "@edges": write_tsv(tmp_path / "e.tsv", CABLE_EDGES)}
+    for name, content in INPUT_FILES.items():
+        files[name] = str(tmp_path / name[1:])
+        Path(files[name]).write_text(content)
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    argv = [command] + [files.get(arg, arg) for arg in GOOD_CALLS[command]]
+    for flag, value in extra:
+        takes_value = dict(OPTIONS[command])[flag]
+        argv += [flag, value if flag in OUTPUT_FLAGS else files.get(value, value)][:1 + takes_value]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    elif command in RUN_WRITERS:
+        outs = {flag: Path(value) for flag, value in extra if flag in OUTPUT_FLAGS}  # the last counts
+        if "--out" not in outs:
+            outs["--out"] = work / "stdout.trec"
+            outs["--out"].write_text(out)
+        elif "--report" in outs and outs["--out"].resolve() == outs["--report"].resolve():
+            return  # the report was asked to replace the run
+        for ranked in read_trec_run(str(outs["--out"])):
+            assert all(math.isfinite(score) for _doc, score in ranked.entries)

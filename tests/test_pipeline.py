@@ -97,6 +97,13 @@ def test_merge_respects_total():
     assert merged.doc_ids() == [f"x{i}" for i in range(5)] + ["y0", "y1", "y2"]
 
 
+def test_merge_total_past_the_float_range_keeps_finite_scores():
+    l0, l1 = ranked("q", ["a", "b"]), ranked("q", ["c"])
+    merged = merge_lists([l0, l1], [5], 10**400)
+    assert merged.doc_ids() == ["a", "b", "c"]
+    assert [s for _d, s in merged.entries] == [sys.float_info.max] * 3
+
+
 def test_merge_errors():
     l0 = ranked("q", ["a"])
     with pytest.raises(LengthMismatch):
@@ -153,6 +160,19 @@ def test_config_rejects_out_of_range_values(key, value):
         PipelineConfig(plan=(("only", MotifKind.BOTH),), cutoffs=(), **{key: value})
 
 
+def test_config_values_share_the_flag_wording():
+    for kwargs, message in [
+        ({"cutoffs": (5, 0)}, "cutoff must be an integer >= 1, got 0"),
+        ({"total": 0}, "total must be an integer >= 1, got 0"),
+        ({"max_ngram": -2}, "max_ngram must be an integer >= 1, got -2"),
+        ({"mu": 1e308}, f"mu must be a number > 0 and <= {MAX_MU:g}, got 1e+308"),
+        ({"orig_weight": 1.0}, "orig_weight must be a number strictly between 0 and 1, got 1.0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig(**kwargs)
+        assert str(exc.value) == message
+
+
 def test_config_file_empty_cutoffs_mean_none(tmp_path):
     path = tmp_path / "sqe.conf"
     path.write_text("plan = only:both\ncutoffs =\n")
@@ -174,6 +194,8 @@ fb_docs = 5
 fb_terms = 7
 orig_weight = 0.6
 max_ngram = 4
+stop_titles = stop.txt
+stopwords = words.txt
 tag = mytag
 """
     )
@@ -183,11 +205,13 @@ tag = mytag
     assert cfg.prf is True and cfg.mu == 2000.0
     assert (cfg.fb_docs, cfg.fb_terms, cfg.orig_weight) == (5, 7, 0.6)
     assert cfg.max_ngram == 4 and cfg.tag == "mytag"
+    assert (cfg.stop_titles_path, cfg.stopwords_path) == ("stop.txt", "words.txt")
 
     bad = tmp_path / "bad.conf"
-    bad.write_text("nonsense = 1\n")
-    with pytest.raises(FormatError):
-        PipelineConfig.from_file(str(bad))
+    for key in ("nonsense", "stop_titles_path", "stopwords_path"):  # a path field's key drops _path
+        bad.write_text(f"{key} = 1\n")
+        with pytest.raises(FormatError):
+            PipelineConfig.from_file(str(bad))
     bad2 = tmp_path / "bad2.conf"
     bad2.write_text("plan one:both\n")
     with pytest.raises(FormatError):
@@ -209,6 +233,11 @@ def test_load_topics(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_topics(str(dup))
     assert exc.value.line == 2
+    for line in ["\tbanksy", " \tbanksy", "7 3\tbanksy", "7\u00a03\tbanksy"]:  # no run line holds them
+        bad.write_text(f"73\tgraffiti\n{line}\n")
+        with pytest.raises(FormatError, match="is empty or holds whitespace") as exc:
+            load_topics(str(bad))
+        assert exc.value.line == 2
 
 
 # -- run_request -------------------------------------------------------------------

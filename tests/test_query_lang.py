@@ -1,11 +1,14 @@
+import math
 import random
 import string
 
 import pytest
 
 from sqe.errors import EmptyInput, ParseError
-from sqe.motif_expander import MotifKind, expand
+from sqe.kb_graph import build_graph
+from sqe.motif_expander import MotifKind, QueryGraph, expand
 from sqe.query_lang import (
+    MAX_WINDOW,
     Combine,
     Term,
     Weight,
@@ -15,6 +18,8 @@ from sqe.query_lang import (
     phrase,
     render,
 )
+
+from conftest import CABLE_EDGES, CABLE_NODES
 
 
 def test_node_invariants():
@@ -152,3 +157,41 @@ def test_feature_order_breaks_ties_by_title(graffiti_graph):
         if w == 3.0
     ]
     assert tied == sorted(tied)
+
+
+def test_features_whose_title_has_no_tokens_are_left_out():
+    nodes = CABLE_NODES + [("5", "A", "!!!")]
+    edges = CABLE_EDGES + [("1", "5", "AA"), ("5", "1", "AA"), ("5", "3", "AC")]
+    g = build_graph(nodes, edges)
+    bang = g.article_by_title("!!!")
+    qg = expand(g, [g.article_by_title("Cable_car")], MotifKind.TRIANGULAR)
+    assert set(qg.expansion) == {g.article_by_title("Funicular"), bang}
+    eq = build_expanded_query(["cable"], ["Cable_car"], qg, g)
+    assert eq.feature_part == Weight(((1.0, Window(1, ("funicular",))),))
+    only_bang = QueryGraph(qg.input_nodes, {bang: 2})
+    assert build_expanded_query(["cable"], ["Cable_car"], only_bang, g).feature_part is None
+    with pytest.raises(EmptyInput, match="'!!!' has no tokens"):
+        build_expanded_query(["cable"], ["Cable_car", "!!!"], None)
+
+
+@pytest.mark.parametrize("text", [
+    "#99999999999999999999999(banksy street)",  # larger than an int64 position
+    f"#{2 * MAX_WINDOW}(banksy street)",
+    "#" + "9" * 400 + "(banksy street)",  # a float reading of inf
+    "#weight( " + "1" * 310 + " banksy )",  # inf
+    "#weight( " + "1" * 400 + ".5 banksy )",
+])
+def test_parse_rejects_numbers_that_do_not_fit(text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == (len("#weight( ") if text.startswith("#weight") else 1)  # the number
+
+
+def test_nodes_reject_numbers_that_do_not_fit():
+    assert parse(f"#{MAX_WINDOW}(banksy street)") == Window(MAX_WINDOW, ("banksy", "street"))
+    for n in (MAX_WINDOW + 1, 10**30):
+        with pytest.raises(ValueError, match="window size"):
+            Window(n, ("a",))
+    for w in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Weight(((w, Term("a")),))
