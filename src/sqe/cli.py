@@ -219,6 +219,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.out and args.report and Path(args.out).resolve() == Path(args.report).resolve():
+        return _usage_error(f"--report {args.report} names the --out file")
     try:
         cfg = pipeline.PipelineConfig.from_file(args.config) if args.config else _DEFAULTS
     except ValueError as exc:  # a bad value, plan motif or cutoff in the config

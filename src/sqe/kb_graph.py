@@ -6,15 +6,14 @@ The graph is a typed directed multigraph with three edge kinds:
 * ``AC``  article belongs to category
 * ``CC``  category belongs to category
 
-Adjacency is held in CSR form: per edge kind, one ``indptr`` array of
-``len(nodes) + 1`` offsets and one ``indices`` array, so node ``i``'s
-out-row is ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending.  One
-more CSR table, the link table, is derived at load and never saved: node
-``i``'s row holds its distinct neighbors over every edge kind and both
-directions, sorted, and how many stored edges join ``i`` to each.  It
-answers every question that needs no direction.  A :class:`KBGraph` is
-immutable once built; every read operation is safe to call concurrently.
-Parallel edges of the same kind between the same ordered pair are
+Adjacency is one CSR table, the link table: node ``i``'s row is the slice
+``indptr[i]:indptr[i + 1]`` of three arrays.  It holds ``i``'s distinct
+neighbors over every edge kind and both directions, sorted; how many
+stored edges join ``i`` to each; and an out flag, true where an edge
+leaves ``i`` toward that neighbor.  The endpoint kinds fix an edge's
+kind, so out flags and node kinds give every directed, per-kind row.  A
+:class:`KBGraph` is immutable once built; every read operation is safe
+to call concurrently.  Parallel edges between the same ordered pair are
 deduplicated on load so that motif counting is well-defined.
 """
 
@@ -95,19 +94,15 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class KBGraph:
-    """Immutable typed graph: one sorted CSR out-row per node and edge kind,
-    and one undirected link row per node.
-
-    ``_out[kind]`` is an ``(indptr, indices)`` pair; ``_links`` is the
-    link table ``(indptr, neighbors, edge counts)``.
+    """Immutable typed graph: one sorted link row per node, in the link
+    table ``_links``, ``(indptr, neighbors, edge counts, out flags)``.
     Construct through :func:`load_graph`, :func:`build_graph` or
     :func:`load_snapshot`, not directly.
     """
 
     nodes: list[KBNode]
-    _out: dict[EdgeKind, tuple[memoryview, np.ndarray]]
     _title_index: dict[tuple[NodeKind, str], NodeId]
-    _links: tuple[memoryview, np.ndarray, np.ndarray]
+    _links: tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]
     _is_category: np.ndarray  # one bool per node
 
     def __len__(self) -> int:
@@ -138,20 +133,24 @@ class KBGraph:
         return self.node_by_title(NodeKind.CATEGORY, title)
 
     def out_neighbors(self, i: NodeId, kind: EdgeKind) -> np.ndarray:
-        """Sorted, deduplicated outgoing neighbor ids. Do not mutate."""
-        indptr, indices = self._out[kind]
-        return indices[indptr[i] : indptr[i + 1]]
+        """Sorted, deduplicated neighbor ids of ``i``'s ``kind`` edges out of ``i``."""
+        indptr, neighbors, _counts, out = self._links
+        lo, hi = indptr[i], indptr[i + 1]
+        row = neighbors[lo:hi][out[lo:hi]]
+        if self._is_category[i] != (kind is EdgeKind.CC):  # the source kind does not fit
+            return row[:0]
+        return row[self._is_category[row] == (kind is not EdgeKind.AA)]
 
     def links(self, i: NodeId) -> tuple[np.ndarray, np.ndarray]:
         """``i``'s distinct neighbors over every edge kind and direction, sorted,
         and how many stored edges join ``i`` to each (>= 1). Do not mutate."""
-        indptr, neighbors, counts = self._links
+        indptr, neighbors, counts, _out = self._links
         lo, hi = indptr[i], indptr[i + 1]
         return neighbors[lo:hi], counts[lo:hi]
 
     def link_count(self, u: NodeId, v: NodeId) -> int:
         """How many stored edges, of any kind and direction, join ``u`` and ``v``."""
-        indptr, neighbors, counts = self._links
+        indptr, neighbors, counts, _out = self._links
         lo, hi = indptr[u], indptr[u + 1]
         k = lo + int(neighbors[lo:hi].searchsorted(v))
         return int(counts[k]) if k < hi and neighbors[k] == v else 0
@@ -163,7 +162,16 @@ class KBGraph:
         return row[self._is_category[row]]
 
     def edge_count(self, kind: EdgeKind) -> int:
-        return int(self._out[kind][0][-1])
+        return len(self._edges(kind)[0])
+
+    def _edges(self, kind: EdgeKind) -> tuple[np.ndarray, np.ndarray]:
+        """``kind``'s int32 ``(src, dst)`` columns, ordered by source, then destination."""
+        indptr, neighbors, _counts, out = self._links
+        src = np.repeat(np.arange(len(self.nodes), dtype=np.int32), np.diff(indptr))[out]
+        dst = neighbors[out]
+        fits = ((self._is_category[src] == (kind is EdgeKind.CC))
+                & (self._is_category[dst] == (kind is not EdgeKind.AA)))
+        return src[fits], dst[fits]
 
     # -- spec operations ---------------------------------------------------
 
@@ -188,7 +196,7 @@ class KBGraph:
         """Categories reachable by one AC edge from article ``a``."""
         if not self.is_article(a):
             raise NotAnArticle(f"node {a} is not an article")
-        return set(self.out_neighbors(a, EdgeKind.AC).tolist())
+        return set(self.linked_categories(a).tolist())  # an AC edge always leaves the article
 
     def category_linked(self, c1: NodeId, c2: NodeId) -> bool:
         """True iff a CC containment edge exists in either direction."""
@@ -199,7 +207,7 @@ class KBGraph:
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""
         is_article = ~self._is_category
-        no_cat = is_article & (np.diff(self._out[EdgeKind.AC][0]) == 0)
+        no_cat = is_article & (np.bincount(self._edges(EdgeKind.AC)[0], minlength=is_article.size) == 0)
         no_edge = ~is_article & (np.diff(self._links[0]) == 0)
         return ValidationReport(
             n_articles=int(is_article.sum()),
@@ -210,32 +218,22 @@ class KBGraph:
         )
 
 
-def _rows(codes: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray]:
-    """CSR ``(indptr, values)`` from sorted, distinct ``key * n_nodes + value`` codes."""
-    keys, values = np.divmod(codes, n_nodes)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_nodes))))
-    return memoryview(indptr).toreadonly(), values  # Python-int items slice rows ~2x faster
-
-
-def _group_by(keys: np.ndarray, values: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray]:
-    """CSR ``(indptr, indices)``: each key's distinct values, sorted."""
-    pairs = np.sort(keys * n_nodes + values)  # ordered by (key, value)
-    return _rows(pairs[np.diff(pairs, prepend=-1) != 0], n_nodes)  # merges parallel edges; ids are >= 0
-
-
-def _link_table(out_adj: dict[EdgeKind, tuple[memoryview, np.ndarray]],
-                n_nodes: int) -> tuple[memoryview, np.ndarray, np.ndarray]:
-    """The link table from the deduplicated out-rows: each node's distinct
-    neighbors over all kinds and both directions, and the edges joining each."""
-    codes = []
-    for indptr, dst in out_adj.values():
-        src = np.repeat(np.arange(n_nodes), np.diff(indptr))
-        codes += [src * n_nodes + dst, dst * n_nodes + src]
-    pairs = np.sort(np.concatenate(codes))
+def _link_table(edges: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]:
+    """The link table from ``(src, dst)`` rows: each node's distinct neighbors,
+    sorted, the distinct edges joining it to each, and whether one leaves it."""
+    src, dst = edges.T
+    # one code per half-edge, (row * n + neighbor) * 2, plus 1 for the half that leaves the row
+    halves = np.concatenate(((src * n_nodes + dst) * 2 + 1, (dst * n_nodes + src) * 2))
+    halves.sort()
+    halves = halves[np.diff(halves, prepend=-1) != 0]  # merges parallel edges; codes are >= 0
+    pairs = halves >> 1
     first = np.flatnonzero(np.diff(pairs, prepend=-1))  # where each distinct pair starts
     counts = np.diff(first, append=pairs.size)
-    indptr, neighbors = _rows(pairs[first], n_nodes)
-    return indptr, neighbors.astype(np.int32), counts.astype(np.int32)
+    out = (halves[first + counts - 1] & 1).astype(bool)  # a pair's out half sorts last
+    rows, neighbors = np.divmod(pairs[first], n_nodes)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_nodes))))
+    indptr = memoryview(indptr).toreadonly()  # Python-int items slice rows ~2x faster
+    return indptr, neighbors.astype(np.int32), counts.astype(np.int32), out
 
 
 def _assemble(
@@ -252,12 +250,9 @@ def _assemble(
         if title_index.setdefault(key, nd.id) != nd.id:
             raise FormatError(nd.id + 1, f"{source}: duplicate normalized title {key[1]!r} "
                                          f"for kind {nd.kind.value}")
-    out_adj = {}
-    for kind, pairs in edges_by_kind.items():
-        src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        out_adj[kind] = _group_by(src, dst, len(nodes))
+    edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
     is_category = _kind_bytes(nodes) == ord(NodeKind.CATEGORY.value)
-    return KBGraph(nodes, out_adj, title_index, _link_table(out_adj, len(nodes)), is_category)
+    return KBGraph(nodes, title_index, _link_table(edges, len(nodes)), is_category)
 
 
 def _kind_bytes(nodes: Sequence[KBNode]) -> np.ndarray:
@@ -366,9 +361,7 @@ def save_snapshot(g: KBGraph, path: str) -> None:
     """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
     arrays = {"kinds": _kind_bytes(g.nodes)}
     for k in EdgeKind:
-        indptr, indices = g._out[k]
-        arrays[f"{k.value}_src"] = np.repeat(np.arange(len(g), dtype=np.int32), np.diff(indptr))
-        arrays[f"{k.value}_dst"] = indices.astype(np.int32)
+        arrays[f"{k.value}_src"], arrays[f"{k.value}_dst"] = g._edges(k)
     strings = {"ext_ids": [n.ext_id for n in g.nodes], "titles": [n.title for n in g.nodes]}
     _SNAPSHOT_FORMAT.save(path, arrays, strings)
 

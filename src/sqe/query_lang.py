@@ -22,8 +22,7 @@ from .text import normalize_title, tokenize
 
 QueryNode = Union["Term", "Window", "Combine", "Weight"]
 
-# The largest window size.  Search subtracts it from int64 token positions,
-# and as a power of two it compares exactly with the parser's float reading.
+# The largest window size.  Search subtracts it from int64 token positions.
 MAX_WINDOW = 2**62
 
 
@@ -173,6 +172,7 @@ def render(q: QueryNode) -> str:
 _WS = re.compile(r"\s+")
 _BARE_TOKEN = re.compile(r"[^()#\s]+")
 _NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_WINDOW_SIZE = re.compile(r"[0-9]+")
 
 
 class _Parser:
@@ -215,13 +215,14 @@ class _Parser:
 
     def parse_operator(self) -> QueryNode:
         self.eat("#", "'#'")
-        m = _NUMBER.match(self.text, self.pos)
+        m = _WINDOW_SIZE.match(self.text, self.pos)
         if m and self.text[m.end() : m.end() + 1] == "(":
-            size = float(m.group())
-            if not size <= MAX_WINDOW:  # also false for inf
+            digits = m.group().lstrip("0") or "0"
+            # the length test comes first: int() refuses a string of over 4300 digits
+            if len(digits) > len(str(MAX_WINDOW)) or int(digits) > MAX_WINDOW:
                 raise self.error(f"a window size <= {MAX_WINDOW}")
             self.pos = m.end()
-            return self.parse_window(int(size))
+            return self.parse_window(int(digits))
         if self.text.startswith("combine", self.pos):
             self.pos += len("combine")
             return self.parse_combine()

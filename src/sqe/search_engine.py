@@ -193,6 +193,7 @@ def load_index(path: str) -> Index:
 
 def read_documents(path: str) -> Iterable[Document]:
     """JSON-lines: one object per line with fields ``id`` and ``text``."""
+    seen: set[str] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -204,6 +205,9 @@ def read_documents(path: str) -> Iterable[Document]:
                 raise FormatError(lineno, f"{path}: bad document line ({exc})") from None
             if not is_run_id(doc_id):
                 raise FormatError(lineno, f"{path}: document id {doc_id!r} is empty or holds whitespace")
+            if doc_id in seen:
+                raise FormatError(lineno, f"{path}: duplicate document id {doc_id!r}")
+            seen.add(doc_id)
             yield Document.from_text(doc_id, str(text))
 
 

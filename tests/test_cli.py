@@ -581,8 +581,23 @@ def test_id_that_a_run_cannot_hold_exits_2(reader, bad_id, tmp_path, graffiti_kb
     path.write_text(content.format(id=bad_id))
     files = {"kb": graffiti_kb, "index": graffiti_index_file, "file": str(path)}
     assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 2
-    assert repr(bad_id) in _one_error(capsys)
+    err = _one_error(capsys)
+    assert repr(bad_id) in err and str(path) in err
     assert not out.exists()
+
+
+def test_run_report_that_names_the_out_file_exits_1(tmp_path, graffiti_kb, graffiti_index_file,
+                                                     capsys):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("73\tgraffiti\n")
+    out = tmp_path / "run.trec"
+    out.write_text("an earlier run\n")
+    (tmp_path / "sub").mkdir()
+    for report in (out, tmp_path / "sub" / ".." / "run.trec"):
+        assert main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file, "--topics",
+                     str(topics), "--out", str(out), "--report", str(report)]) == 1
+        assert "names the --out file" in _one_error(capsys)
+        assert out.read_text() == "an earlier run\n"
 
 
 def test_query_numbers_that_do_not_fit_exit_2(graffiti_index_file, tmp_path, capsys):
@@ -691,7 +706,5 @@ def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_inde
         if "--out" not in outs:
             outs["--out"] = work / "stdout.trec"
             outs["--out"].write_text(out)
-        elif "--report" in outs and outs["--out"].resolve() == outs["--report"].resolve():
-            return  # the report was asked to replace the run
         for ranked in read_trec_run(str(outs["--out"])):
             assert all(math.isfinite(score) for _doc, score in ranked.entries)

@@ -1,4 +1,5 @@
-"""Every demo script runs to the end: exit code 0 and no traceback."""
+"""Every demo script runs to the end: exit code 0 and no traceback.  A demo
+that prints no timings prints exactly its golden output in ``tests/data``."""
 
 import os
 import subprocess
@@ -9,10 +10,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TIMED = {"05_full_pipeline.py"}  # prints wall-clock timings
+
+
+def _golden(demo: Path) -> Path:
+    return ROOT / "tests" / "data" / f"{demo.stem}.golden"
 
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
+    assert all(_golden(demo).exists() for demo in DEMOS if demo.name not in TIMED)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -25,3 +32,5 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
+    if demo.name not in TIMED:
+        assert proc.stdout == _golden(demo).read_text(encoding="utf-8")

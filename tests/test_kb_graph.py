@@ -1,5 +1,6 @@
 import ast
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,34 @@ def test_link_row_counts_each_distinct_edge_row(seed, n_nodes, reciprocal_cc):
     assert g.validate().orphan_categories == [
         c for c, (_e, kind, _t) in enumerate(nodes) if kind == "C" and c not in ends
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 25), reciprocal_cc=st.booleans())
+def test_directed_reads_match_the_distinct_rows(seed, n_nodes, reciprocal_cc):
+    rng = random.Random(seed)
+    nodes, edges = random_graph(rng, n_nodes, reciprocal_cc=reciprocal_cc)
+    edges += edges[: len(edges) // 3]  # repeated rows are one stored edge
+    rng.shuffle(edges)
+    g = build_graph(nodes, edges)
+    ids = {ext: i for i, (ext, _k, _t) in enumerate(nodes)}
+    rows = sorted({(k, ids[s], ids[d]) for s, d, k in edges})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_snapshot(g, f"{tmp}/kb.npz")
+        with np.load(f"{tmp}/kb.npz") as snapshot:
+            columns = {name: snapshot[name] for name in snapshot.files}
+    for k in EdgeKind:
+        want = [(s, d) for kind, s, d in rows if kind == k.value]
+        assert g.edge_count(k) == len(want)
+        for i in range(len(g)):
+            assert g.out_neighbors(i, k).tolist() == [d for s, d in want if s == i]
+        src, dst = columns[f"{k.value}_src"], columns[f"{k.value}_dst"]
+        assert src.dtype == dst.dtype == np.int32
+        assert list(zip(src.tolist(), dst.tolist())) == want  # ordered by source, then destination
+    cats = {i: {d for kind, s, d in rows if kind == "AC" and s == i}
+            for i, (_e, kind, _t) in enumerate(nodes) if kind == "A"}
+    assert all(g.categories_of(a) == cats[a] for a in cats)
+    assert g.validate().articles_without_category == [a for a in cats if not cats[a]]
 
 
 def test_link_rows_of_the_mini_graph():

@@ -177,7 +177,10 @@ def test_features_whose_title_has_no_tokens_are_left_out():
 @pytest.mark.parametrize("text", [
     "#99999999999999999999999(banksy street)",  # larger than an int64 position
     f"#{2 * MAX_WINDOW}(banksy street)",
-    "#" + "9" * 400 + "(banksy street)",  # a float reading of inf
+    "#" + "9" * 400 + "(banksy street)",
+    "#1" + "0" * 5000 + "(banksy street)",  # more digits than int() reads
+    f"#{MAX_WINDOW + 1}(banksy street)",
+    "#1.5(banksy street)",  # a window size is an integer
     "#weight( " + "1" * 310 + " banksy )",  # inf
     "#weight( " + "1" * 400 + ".5 banksy )",
 ])
@@ -185,6 +188,12 @@ def test_parse_rejects_numbers_that_do_not_fit(text):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.position == (len("#weight( ") if text.startswith("#weight") else 1)  # the number
+
+
+@pytest.mark.parametrize("n", [1, 7, 2**53 + 1, MAX_WINDOW - 1, MAX_WINDOW])
+def test_window_sizes_round_trip_exactly(n):
+    assert parse(render(Window(n, ("banksy", "street")))) == Window(n, ("banksy", "street"))
+    assert parse(f"#{n:05000d}(banksy street)") == Window(n, ("banksy", "street"))  # leading zeros
 
 
 def test_nodes_reject_numbers_that_do_not_fit():
