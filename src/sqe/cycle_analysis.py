@@ -2,9 +2,13 @@
 
 Cycles are closed sequences of 2..5 distinct nodes, articles or
 categories, with at least one edge (any kind, either direction) between
-each consecutive pair.  Identity is up to rotation and reflection.  Two
-per-cycle statistics characterize them: the fraction of category nodes,
-and the density of edges beyond the minimum needed to close the cycle.
+each consecutive pair.  Identity is up to rotation and reflection.  A
+:class:`Cycle` refuses fewer than two nodes or a repeated node, so its
+least rotation or reflection starts at its least node.  Two per-cycle
+statistics characterize them: the fraction of category nodes, and the
+density of edges beyond the minimum needed to close the cycle.  Both are
+computed for all cycles of one length at once; the per-cycle functions
+are one-row calls of that code.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .kb_graph import KBGraph, NodeId, NodeKind
+import numpy as np
+
+from .kb_graph import KBGraph, NodeId
 
 MIN_CYCLE_LEN = 2
 MAX_CYCLE_LEN = 5
@@ -26,12 +32,27 @@ class Cycle:
     canonical_key: tuple[NodeId, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        seqs = (self.nodes, self.nodes[::-1])
-        key = min(seq[r:] + seq[:r] for seq in seqs for r in range(len(seq)))
-        object.__setattr__(self, "canonical_key", key)
+        s = self.nodes
+        if len(s) < MIN_CYCLE_LEN or len(set(s)) != len(s):
+            raise ValueError(f"a cycle needs {MIN_CYCLE_LEN} or more distinct nodes, got {s!r}")
+        r = s.index(min(s))
+        fwd = s[r:] + s[:r]  # the least node first; nodes are distinct, so it leads the key
+        object.__setattr__(self, "canonical_key", min(fwd, fwd[:1] + fwd[:0:-1]))
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+class _LinkRows(dict):
+    """node -> {neighbor: edges joining them}, each row read from the graph once."""
+
+    def __init__(self, g: KBGraph):
+        self.g = g
+
+    def __missing__(self, i: NodeId) -> dict[NodeId, int]:
+        neighbors, n_edges = self.g.links(i)
+        counts = self[i] = dict(zip(neighbors.tolist(), n_edges.tolist()))
+        return counts
 
 
 def enumerate_cycles(
@@ -50,17 +71,10 @@ def enumerate_cycles(
         raise ValueError(f"cycle lengths must satisfy 2 <= min <= max <= 5, got {min_len}..{max_len}")
     found: set[Cycle] = set()
     path: list[NodeId] = []
-    rows: dict[NodeId, dict[NodeId, int]] = {}  # node -> {neighbor: edges joining them}
-
-    def row(i: NodeId) -> dict[NodeId, int]:
-        counts = rows.get(i)
-        if counts is None:
-            neighbors, n_edges = g.links(i)
-            counts = rows[i] = dict(zip(neighbors.tolist(), n_edges.tolist()))
-        return counts
+    rows = _LinkRows(g)
 
     def dfs(seed: NodeId, seed_row: dict[NodeId, int], current: NodeId) -> None:
-        for nb, n_edges in row(current).items():
+        for nb, n_edges in rows[current].items():
             if nb == seed:
                 if len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
                     found.add(Cycle(tuple(path)))
@@ -75,14 +89,25 @@ def enumerate_cycles(
 
     for seed in sorted(set(seeds)):
         path[:] = [seed]
-        dfs(seed, row(seed), seed)
+        dfs(seed, rows[seed], seed)
     return found
+
+
+def _stats(g: KBGraph, ids: np.ndarray, rows: _LinkRows) -> tuple[list[float], list[float]]:
+    """Category ratio and extra-edge density of each cycle in ``ids``, one ``(m, L)`` row per cycle."""
+    m, length = ids.shape
+    nxt = np.concatenate((ids[:, 1:], ids[:, :1]), axis=1)  # each slot's second node
+    is_cat = g._is_category[ids]
+    e_max = length + (is_cat == g._is_category[nxt]).sum(axis=1)
+    n_pairs = length if length > 2 else 1  # a 2-cycle's two slots are one pair
+    us, vs = ids[:, :n_pairs].ravel().tolist(), nxt[:, :n_pairs].ravel().tolist()
+    n_edges = np.array([rows[u].get(v, 0) for u, v in zip(us, vs)]).reshape(m, n_pairs).sum(axis=1)
+    return (is_cat.sum(axis=1) / length).tolist(), (np.maximum(n_edges - length, 0) / e_max).tolist()
 
 
 def category_ratio(g: KBGraph, c: Cycle) -> float:
     """Fraction of the cycle's nodes that are categories."""
-    n_cat = sum(1 for i in c.nodes if g.kind(i) is NodeKind.CATEGORY)
-    return n_cat / len(c)
+    return _stats(g, np.array([c.nodes]), _LinkRows(g))[0][0]
 
 
 def extra_edge_density(g: KBGraph, c: Cycle) -> float:
@@ -92,25 +117,16 @@ def extra_edge_density(g: KBGraph, c: Cycle) -> float:
     either side of the ratio.  Same-kind pairs (article-article,
     category-category) can carry two edges, article-category pairs one.
     """
-    length = len(c)
-    slots = [(c.nodes[i], c.nodes[(i + 1) % length]) for i in range(length)]
-    e_max = sum(2 if g.kind(u) is g.kind(v) else 1 for u, v in slots)
-    pairs = {frozenset(slot) for slot in slots}  # a 2-cycle's two slots are one pair
-    n_edges = sum(g.link_count(*pair) for pair in pairs)
-    return max(0, n_edges - length) / e_max
+    return _stats(g, np.array([c.nodes]), _LinkRows(g))[1][0]
 
 
 def cycle_length_stats(g: KBGraph, cycles: Iterable[Cycle]) -> list[tuple[int, int, float, float]]:
     """Per-length rows: (length, count, mean category ratio, mean extra-edge density)."""
-    buckets: dict[int, list[Cycle]] = {}
+    buckets: dict[int, list[tuple[NodeId, ...]]] = {}
     for c in cycles:
-        buckets.setdefault(len(c), []).append(c)
-    rows = []
-    for length in sorted(buckets):
-        group = buckets[length]
-        ratios = [category_ratio(g, c) for c in group]
-        densities = [extra_edge_density(g, c) for c in group]
-        rows.append(
-            (length, len(group), sum(ratios) / len(group), sum(densities) / len(group))
-        )
-    return rows
+        buckets.setdefault(len(c.nodes), []).append(c.nodes)
+    rows, stats = _LinkRows(g), []
+    for length, group in sorted(buckets.items()):
+        ratios, densities = _stats(g, np.array(group), rows)
+        stats.append((length, len(group), sum(ratios) / len(group), sum(densities) / len(group)))
+    return stats

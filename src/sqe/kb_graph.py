@@ -101,7 +101,7 @@ class KBGraph:
     """
 
     nodes: list[KBNode]
-    _title_index: dict[tuple[NodeKind, str], NodeId]
+    _title_index: dict[tuple[str, str], NodeId]  # (kind letter, normalized title) -> node
     _links: tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]
     _is_category: np.ndarray  # one bool per node
 
@@ -124,7 +124,7 @@ class KBGraph:
         return [n.id for n in self.nodes if n.kind is NodeKind.ARTICLE]
 
     def node_by_title(self, kind: NodeKind, title: str) -> NodeId | None:
-        return self._title_index.get((kind, normalize_title(title)))
+        return self._title_index.get((kind.value, normalize_title(title)))
 
     def article_by_title(self, title: str) -> NodeId | None:
         return self.node_by_title(NodeKind.ARTICLE, title)
@@ -244,14 +244,15 @@ def _assemble(
     Each title is normalized here, once; a node that repeats an earlier
     normalized title of its kind raises with its line in ``source``.
     """
-    title_index: dict[tuple[NodeKind, str], NodeId] = {}
-    for nd in nodes:
-        key = (nd.kind, normalize_title(nd.title))
+    kinds = _kind_bytes(nodes)
+    title_index: dict[tuple[str, str], NodeId] = {}
+    for nd, letter in zip(nodes, kinds.tobytes().decode("ascii")):
+        key = (letter, normalize_title(nd.title))
         if title_index.setdefault(key, nd.id) != nd.id:
             raise FormatError(nd.id + 1, f"{source}: duplicate normalized title {key[1]!r} "
-                                         f"for kind {nd.kind.value}")
+                                         f"for kind {letter}")
     edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
-    is_category = _kind_bytes(nodes) == ord(NodeKind.CATEGORY.value)
+    is_category = kinds == ord(NodeKind.CATEGORY.value)
     return KBGraph(nodes, title_index, _link_table(edges, len(nodes)), is_category)
 
 

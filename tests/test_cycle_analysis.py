@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from sqe.cycle_analysis import (
     enumerate_cycles,
     extra_edge_density,
 )
-from sqe.kb_graph import KBGraph, build_graph
+from sqe.kb_graph import KBGraph, NodeKind, build_graph
 
 from generators import exhaustive_graphs, random_graph
 from oracles import canonical_cycle, cycles_oracle
@@ -28,6 +29,18 @@ def test_cycle_identity_up_to_rotation_and_reflection():
     b = Cycle((3, 2, 1))
     assert b.nodes == (3, 2, 1) and b.canonical_key == (1, 2, 3)  # nodes keep their order
     assert repr(b) == "Cycle(nodes=(3, 2, 1))"
+
+
+@pytest.mark.parametrize("nodes", [(), (3,), (1, 2, 1)])
+def test_cycle_refuses_too_few_or_repeated_nodes(nodes):
+    with pytest.raises(ValueError, match=re.escape(repr(nodes))):
+        Cycle(nodes)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=MIN_CYCLE_LEN, max_size=MAX_CYCLE_LEN, unique=True))
+def test_canonical_key_is_the_least_rotation_or_reflection(nodes):
+    t = tuple(nodes)
+    assert Cycle(t).canonical_key == min(s[r:] + s[:r] for s in (t, t[::-1]) for r in range(len(t)))
 
 
 def test_two_article_cycle():
@@ -256,3 +269,73 @@ def test_cycle_length_stats_rows():
     assert two[1] == 1 and two[2] == 0.0
     three = rows[1]
     assert three[2] == pytest.approx(1 / 3)
+
+
+def _reference_ratio(g, c):
+    return sum(1 for i in c.nodes if g.kind(i) is NodeKind.CATEGORY) / len(c)
+
+
+def _reference_density(g, c):
+    length = len(c)
+    slots = [(c.nodes[i], c.nodes[(i + 1) % length]) for i in range(length)]
+    e_max = sum(2 if g.kind(u) is g.kind(v) else 1 for u, v in slots)
+    pairs = {frozenset(slot) for slot in slots}  # a 2-cycle's two slots are one pair
+    n_edges = sum(g.link_count(*pair) for pair in pairs)
+    return max(0, n_edges - length) / e_max
+
+
+def _reference_stats(g, cycles):
+    """One call per cycle, summed in the order given: the plain per-cycle fold."""
+    buckets = {}
+    for c in cycles:
+        buckets.setdefault(len(c), []).append(c)
+    rows = []
+    for length in sorted(buckets):
+        group = buckets[length]
+        ratios = [_reference_ratio(g, c) for c in group]
+        densities = [_reference_density(g, c) for c in group]
+        rows.append((length, len(group), sum(ratios) / len(group), sum(densities) / len(group)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 12), reciprocal_cc=st.booleans(),
+       max_len=st.integers(MIN_CYCLE_LEN, MAX_CYCLE_LEN), data=st.data())
+def test_stats_equal_a_per_cycle_fold(seed, n_nodes, reciprocal_cc, max_len, data):
+    nodes, edges = random_graph(random.Random(seed), n_nodes, reciprocal_cc=reciprocal_cc)
+    edges += edges[::3]  # repeated rows are one stored edge
+    g = build_graph(nodes, edges)
+    seeds = data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=1, max_size=3))
+    cycles = enumerate_cycles(g, seeds, MIN_CYCLE_LEN, max_len)
+    shuffled = data.draw(st.permutations(list(cycles)))
+    # node rings that need not be cycles of g: a pair may be joined by no edge
+    ring = st.lists(st.integers(0, n_nodes - 1), min_size=2, max_size=min(n_nodes, max_len), unique=True)
+    rings = [Cycle(tuple(t)) for t in data.draw(st.lists(ring, max_size=4))]
+    assert cycle_length_stats(g, cycles) == _reference_stats(g, cycles)
+    assert cycle_length_stats(g, shuffled) == _reference_stats(g, shuffled)
+    assert cycle_length_stats(g, rings) == _reference_stats(g, rings)
+    for c in [*cycles, *rings]:
+        assert category_ratio(g, c) == _reference_ratio(g, c)
+        assert extra_edge_density(g, c) == _reference_density(g, c)
+
+
+def test_stats_read_each_row_once_and_make_no_per_edge_calls(monkeypatch):
+    nodes, edges = random_graph(random.Random(43), 30)
+    g = build_graph(nodes, edges)
+    cycles = enumerate_cycles(g, {0, 1, 2})
+    assert {len(c) for c in cycles} == set(range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1))
+    reads = Counter()
+    links = KBGraph.links
+
+    def counting(self, i):
+        reads[i] += 1
+        return links(self, i)
+
+    def refused(self, *args):
+        raise AssertionError("a per-node or per-edge graph call")
+
+    monkeypatch.setattr(KBGraph, "links", counting)
+    monkeypatch.setattr(KBGraph, "link_count", refused)
+    monkeypatch.setattr(KBGraph, "kind", refused)
+    cycle_length_stats(g, cycles)
+    assert set(reads) <= {i for c in cycles for i in c.nodes} and set(reads.values()) == {1}

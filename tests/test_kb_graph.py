@@ -110,10 +110,11 @@ def test_bad_node_rows(tmp_path):
             write_tsv(tmp_path / "e2.tsv", []),
         )
     # same normalized title within a kind is rejected, across kinds is fine
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="duplicate normalized title 'cable car' for kind A$"):
         build_graph([("1", "A", "Cable car"), ("2", "A", "cable_car")], [])
     g = build_graph([("1", "A", "Graffiti"), ("2", "C", "Graffiti")], [])
     assert len(g) == 2
+    assert (g.article_by_title("graffiti"), g.category_by_title("Graffiti")) == (0, 1)
 
 
 def test_duplicate_title_names_the_later_row(tmp_path):
