@@ -15,7 +15,7 @@ from pathlib import Path
 from . import evaluation, pipeline
 from .cycle_analysis import MAX_CYCLE_LEN, MIN_CYCLE_LEN, cycle_length_stats, enumerate_cycles
 from .entity_linker import InputRequest
-from .errors import FormatError, SqeError
+from .errors import FormatError, ParseError, SqeError
 from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
@@ -187,29 +187,33 @@ def cmd_build_query(args) -> int:
 def cmd_search(args) -> int:
     idx = _load_index(args.index)
     if args.query:
-        queries = {"1": args.query}
+        queries = {"1": parse(args.query)}
     elif args.queries:
         queries = {}
         with open_text(args.queries) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                qid, _, text = line.rstrip("\n").partition("\t")
-                if not text:  # no qid prefix
+                qid, tab, text = line.rstrip("\n").partition("\t")
+                if not tab:  # no qid prefix
                     qid, text = str(lineno), line.strip()
                 qid = qid.strip()
                 if not is_run_id(qid):
                     raise FormatError(
                         lineno, f"{args.queries}: request id {qid!r} is empty or holds whitespace"
                     )
+                if not text.strip():
+                    raise FormatError(lineno, f"{args.queries}: empty request text")
                 if qid in queries:
                     raise FormatError(lineno, f"{args.queries}: duplicate request id {qid!r}")
-                queries[qid] = text
+                try:
+                    queries[qid] = parse(text)
+                except ParseError as exc:
+                    raise FormatError(lineno, f"{args.queries}: request {qid!r}: {exc}") from None
     else:
         return _usage_error("provide --query or --queries")
     runs = []
-    for qid, text in queries.items():
-        tree = parse(text)
+    for qid, tree in queries.items():
         if args.prf:
             tree = prf_expand(idx, tree, mu=args.mu)
         runs.append(search(idx, tree, args.k, qid, tag="sqe", mu=args.mu))
@@ -229,7 +233,7 @@ def cmd_run(args) -> int:
     g = _load_kb(args)
     idx = _load_index(args.index)
     topics = pipeline.load_topics(args.topics)
-    runs, reports = pipeline.run_batch(g, idx, topics, cfg, jobs=args.jobs)
+    runs, reports = pipeline.run_batch(g, idx, topics, cfg)
     with _output(args.out) as out:
         write_trec_run(runs, out)
     report_path = args.report or (args.out + ".report.tsv" if args.out else None)
@@ -349,7 +353,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", required=True)
     p.add_argument("--config")
     p.add_argument("--prf", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.add_argument("--report")
     p.set_defaults(func=cmd_run)

@@ -73,16 +73,18 @@ def enumerate_cycles(
     path: list[NodeId] = []
     rows = _LinkRows(g)
 
+    # a cycle of 3 or more nodes closes once per direction; rows are sorted, so the
+    # first find, the one kept, is the one whose second node is less than its last
     def dfs(seed: NodeId, seed_row: dict[NodeId, int], current: NodeId) -> None:
         for nb, n_edges in rows[current].items():
             if nb == seed:
-                if len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
+                if len(path) >= min_len and (path[1] < current if len(path) > 2 else n_edges >= 2):
                     found.add(Cycle(tuple(path)))
             elif nb not in path:
                 path.append(nb)
                 if len(path) < max_len:
                     dfs(seed, seed_row, nb)
-                elif seed_row.get(nb, 0) >= (2 if max_len == 2 else 1):
+                elif (path[1] < nb and nb in seed_row) if max_len > 2 else seed_row.get(nb, 0) >= 2:
                     # the last depth: nb closes a cycle iff it is in the seed's row; its own row is not read
                     found.add(Cycle(tuple(path)))
                 path.pop()

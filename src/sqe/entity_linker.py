@@ -34,10 +34,7 @@ def load_stop_titles(path: str) -> set[str]:
 
 
 class EntityLinker:
-    """Phrase table over article titles, reusable across requests.
-
-    Purely read-only over the graph; safe for concurrent use.
-    """
+    """Phrase table over article titles, reusable across requests; it only reads the graph."""
 
     def __init__(self, g: KBGraph, max_ngram: int = 8, stop_titles: set[str] | None = None):
         if max_ngram < 1:

@@ -12,9 +12,9 @@ neighbors over every edge kind and both directions, sorted; how many
 stored edges join ``i`` to each; and an out flag, true where an edge
 leaves ``i`` toward that neighbor.  The endpoint kinds fix an edge's
 kind, so out flags and node kinds give every directed, per-kind row.  A
-:class:`KBGraph` is immutable once built; every read operation is safe
-to call concurrently.  Parallel edges between the same ordered pair are
-deduplicated on load so that motif counting is well-defined.
+:class:`KBGraph` is immutable once built.  Parallel edges between the
+same ordered pair are deduplicated on load so that motif counting is
+well-defined.
 """
 
 from __future__ import annotations

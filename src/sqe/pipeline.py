@@ -1,11 +1,12 @@
 """End-to-end request handling and multi-query-graph result merging.
 
-Each request is linked to input nodes, expanded once per plan entry
-(triangular, both, square by default), searched, and the ranked lists
-are stitched range-wise: the first cutoff entries come from the first
-list, the next quota of unseen documents from the second, and the final
-list fills up to the total.  Merged scores are synthetic (total - rank
-+ 1) so the output forms a valid run.
+A batch runs its requests one after another, in topic order.  Each is
+linked to input nodes, expanded once per plan entry (triangular, both,
+square by default), searched, and the ranked lists are stitched
+range-wise: the first cutoff entries come from the first list, the next
+quota of unseen documents from the second, and the final list fills up
+to the total.  Merged scores are synthetic (total - rank + 1) so the
+output forms a valid run.
 
 Work is shared through memos that the functions here create and drop:
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import IO, Any, Callable, NamedTuple, Sequence
@@ -99,8 +99,8 @@ class PipelineConfig:
             )
         for c in self.cutoffs:
             POSITIVE_INT.check("cutoff", c)
-        POSITIVE_INT.check("total", self.total)
-        POSITIVE_INT.check("max_ngram", self.max_ngram)
+        for name in ("total", "fb_docs", "fb_terms", "max_ngram"):
+            POSITIVE_INT.check(name, getattr(self, name))
         MU.check("mu", self.mu)
         OPEN_UNIT.check("orig_weight", self.orig_weight)
         if sum(self.cutoffs) > self.total:
@@ -156,7 +156,8 @@ class RequestReport:
 
 
 def load_topics(path: str) -> list[InputRequest]:
-    """``<qid>\\t<keyword text>`` per line; an id fits a run line and may not repeat."""
+    """``<qid>\\t<keyword text>`` per line; an id fits a run line and may not repeat,
+    and the text holds a token."""
     topics: dict[str, InputRequest] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -171,6 +172,8 @@ def load_topics(path: str) -> list[InputRequest]:
                 raise FormatError(lineno, f"{path}: request id {qid!r} is empty or holds whitespace")
             if not text.strip():
                 raise FormatError(lineno, f"{path}: empty request text")
+            if not tokenize(text):
+                raise FormatError(lineno, f"{path}: request text {text!r} has no token")
             if qid in topics:
                 raise FormatError(lineno, f"{path}: duplicate request id {qid!r}")
             topics[qid] = InputRequest(qid, text)
@@ -224,21 +227,17 @@ def run_request_detailed(
     idx: Index,
     req: InputRequest,
     cfg: PipelineConfig,
-    linker: EntityLinker | None = None,
-    stopwords: frozenset[str] | None = None,
-    matches: WindowMatches | None = None,
+    linker: EntityLinker,
+    stopwords: frozenset[str] | None,
+    *,
+    matches: WindowMatches,
 ) -> tuple[RankedList, RequestReport]:
     """One request through link, per-plan expansion, search and merge.
 
-    ``linker`` and ``stopwords`` default to the ones ``cfg`` names; a batch
-    builds them once and passes them in, with its window ``matches`` memo.
+    ``run_batch`` builds ``linker``, ``stopwords`` and the window
+    ``matches`` memo once and passes them to each of its requests.
     """
     report = RequestReport(req.request_id)
-    if linker is None:
-        linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
-    if stopwords is None and cfg.stopwords_path:
-        stopwords = load_stopwords(cfg.stopwords_path)
-
     t0 = time.perf_counter()
     try:
         linked = linker.link(req)
@@ -288,8 +287,7 @@ def run_request_detailed(
 def run_request(
     g: KBGraph, idx: Index, req: InputRequest, cfg: PipelineConfig
 ) -> RankedList:
-    merged, _report = run_request_detailed(g, idx, req, cfg)
-    return merged
+    return run_batch(g, idx, [req], cfg)[0][0]
 
 
 def run_batch(
@@ -299,22 +297,18 @@ def run_batch(
     cfg: PipelineConfig,
     jobs: int = 1,
 ) -> tuple[list[RankedList], list[RequestReport]]:
-    """All topics, optionally in parallel; outputs stay in topic order.
+    """All topics, one after another; outputs are in topic order.
 
-    The requests share one window ``matches`` memo, dropped on return.
+    The linker and the stopwords that ``cfg`` names are built once, and the
+    requests share one window ``matches`` memo, dropped on return.  ``jobs``
+    must be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"requests run in order, so jobs must be 1, got {jobs}")
     linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
     stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
     matches: WindowMatches = {}
-
-    def one(req: InputRequest) -> tuple[RankedList, RequestReport]:
-        return run_request_detailed(g, idx, req, cfg, linker, stopwords, matches=matches)
-
-    if jobs <= 1:
-        pairs = [one(req) for req in topics]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(one, topics))
+    pairs = [run_request_detailed(g, idx, r, cfg, linker, stopwords, matches=matches) for r in topics]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 

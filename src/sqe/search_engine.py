@@ -7,10 +7,11 @@ when a pattern never occurs, so beliefs stay finite), ``#combine``
 averages and ``#weight`` takes a weight-normalized sum.  Scoring is
 exhaustive over the collection, which keeps the ranking contract exact.
 
-Indexes are immutable after build; concurrent searches are safe.  Work
-shared between searches lives in memos that belong to the caller, never
-to ``Index`` or to this module.  ``search`` and ``prf_expand`` take one
-optional ``leaves`` memo, which can hold two:
+Indexes are immutable after build.  Work shared between searches lives
+in memos that belong to the caller, never to ``Index`` or to this
+module.  ``search`` and ``prf_expand`` take one optional ``leaves``
+memo, which can hold two; entries are filled on first use and never
+changed once stored:
 
 * the dict itself: each term's and window's dense score vector for one
   index and one ``mu``, keyed by ``(n, tokens)``; a pipeline keeps one
@@ -19,9 +20,6 @@ optional ``leaves`` memo, which can hold two:
   document ordinals and counts where the count is above 0, keyed by
   ``(n, tokens)``; it depends on the index alone, so a pipeline shares
   one across a batch of requests and drops it when the batch ends.
-
-Entries are filled on first use and never changed once stored, so
-threads may share both memos: a race only recomputes an equal entry.
 """
 
 from __future__ import annotations

@@ -191,6 +191,21 @@ def test_search_matches_library_output(graffiti_index_file, tmp_path, capsys):
     assert cli_out == buf.getvalue()
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("q1\t", "empty request text"),
+    ("q1\t#combine( banksy", "request 'q1': at position 16: expected a query node"),
+], ids=["empty-text", "no-parse"])
+def test_search_queries_line_fault_names_file_line_and_request(line, fault, graffiti_index_file,
+                                                                tmp_path, capsys):
+    queries, out = tmp_path / "queries.txt", tmp_path / "run.trec"
+    queries.write_text(f"1\tbanksy\n{line}\n")
+    assert main(["search", "--index", graffiti_index_file, "--queries", str(queries),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sqe: error: line 2: {queries}: {fault}\n"
+    assert not out.exists()
+
+
 def test_link_stop_titles_file(cable_files, tmp_path, capsys):
     nodes, edges = cable_files
     stop = tmp_path / "stop.txt"
@@ -301,10 +316,9 @@ BAD_ARGUMENTS = {
     "search-mu-overflows": ["search", "--index", "{index}", "--query", "banksy", "--mu", "1e308"],
     # checked before any run file is read: the second one does not exist
     "merge-cutoffs-count": ["merge", "--run", "{run}", "--run", "{missing}", "--cutoffs", "5,30"],
-    # checked before the topics file is read: it does not exist
-    "run-jobs-0": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{missing}", "--jobs", "0"],
-    "run-jobs-negative": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{missing}",
-                          "--jobs", "-3"],
+    # checked before the topics file is read: it does not exist; requests run in order
+    "run-jobs-unknown": ["run", "--kb", "{kb}", "--index", "{index}", "--topics", "{missing}",
+                         "--jobs", "2"],
     "ttest-alpha-2": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--alpha", "2"],
     "ttest-alpha-negative": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}",
                              "--alpha", "-1"],
@@ -331,6 +345,7 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
 @pytest.mark.parametrize("config", [
     "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
     "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n", "tag =\n", "tag = a b\n",
+    "fb_docs = -3\nprf = on\n", "fb_terms = 0\nprf = on\n",
 ])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"

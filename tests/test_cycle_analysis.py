@@ -5,10 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqe import cycle_analysis
 from sqe.cycle_analysis import (
     MAX_CYCLE_LEN,
     MIN_CYCLE_LEN,
     Cycle,
+    _LinkRows,
     category_ratio,
     cycle_length_stats,
     enumerate_cycles,
@@ -228,6 +230,60 @@ def test_rows_are_read_once_and_never_at_the_last_depth(monkeypatch, max_len):
     # a path's first max_len - 1 nodes are read: the nodes within max_len - 2 hops of a seed
     within = {i for i, d in _hops(nodes, edges, seeds).items() if d <= max_len - 2}
     assert set(reads) == within and set(reads.values()) == {1}
+
+
+@pytest.mark.parametrize("max_len", range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1))
+def test_each_cycle_is_built_once_from_one_seed(monkeypatch, max_len):
+    nodes, edges = random_graph(random.Random(41), 30)
+    g = build_graph(nodes, edges)
+    built = []
+
+    def counting(nodes):
+        built.append(nodes)
+        return Cycle(nodes)
+
+    monkeypatch.setattr(cycle_analysis, "Cycle", counting)
+    found = enumerate_cycles(g, {0}, MIN_CYCLE_LEN, max_len)
+    assert found and len(built) == len(found)
+
+
+def _enumerate_cycles_both_ways(g, seeds, min_len, max_len):
+    """The DFS that kept every find: a longer cycle is added once per direction."""
+    found, path, rows = set(), [], _LinkRows(g)
+
+    def dfs(seed, seed_row, current):
+        for nb, n_edges in rows[current].items():
+            if nb == seed:
+                if len(path) >= min_len and (len(path) > 2 or n_edges >= 2):
+                    found.add(Cycle(tuple(path)))
+            elif nb not in path:
+                path.append(nb)
+                if len(path) < max_len:
+                    dfs(seed, seed_row, nb)
+                elif seed_row.get(nb, 0) >= (2 if max_len == 2 else 1):
+                    found.add(Cycle(tuple(path)))
+                path.pop()
+
+    for seed in sorted(set(seeds)):
+        path[:] = [seed]
+        dfs(seed, rows[seed], seed)
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 12), reciprocal_cc=st.booleans(),
+       data=st.data())
+def test_one_direction_keeps_the_set_its_nodes_and_its_order(seed, n_nodes, reciprocal_cc, data):
+    nodes, edges = random_graph(random.Random(seed), n_nodes, reciprocal_cc=reciprocal_cc)
+    edges += edges[::3]  # repeated rows are one stored edge
+    g = build_graph(nodes, edges)
+    seeds = data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=1, max_size=3))
+    min_len = data.draw(st.integers(MIN_CYCLE_LEN, MAX_CYCLE_LEN))
+    max_len = data.draw(st.integers(min_len, MAX_CYCLE_LEN))
+    got = enumerate_cycles(g, seeds, min_len, max_len)
+    want = _enumerate_cycles_both_ways(g, seeds, min_len, max_len)
+    assert got == want
+    assert [c.nodes for c in got] == [c.nodes for c in want]
 
 
 def test_seed_order_invariance():

@@ -238,9 +238,21 @@ def test_load_topics(tmp_path):
         with pytest.raises(FormatError, match="is empty or holds whitespace") as exc:
             load_topics(str(bad))
         assert exc.value.line == 2
+    for line, fault in [("q1\t", "empty request text"), ("q1\t  ", "empty request text"),
+                        ("q1\t!!!", "request text '!!!' has no token")]:
+        bad.write_text(f"73\tgraffiti\n{line}\n")
+        with pytest.raises(FormatError, match=fault) as exc:
+            load_topics(str(bad))
+        assert exc.value.line == 2 and str(bad) in str(exc.value)
 
 
 # -- run_request -------------------------------------------------------------------
+
+
+def one_request(g, idx, req, cfg):
+    """A one-topic batch: the request's run and its report."""
+    (run,), (report,) = run_batch(g, idx, [req], cfg)
+    return run, report
 
 
 def test_single_plan_equals_plain_search(graffiti_graph, graffiti_index):
@@ -261,7 +273,7 @@ def test_single_plan_equals_plain_search(graffiti_graph, graffiti_index):
 def test_no_entities_falls_back_to_input_only(cable_graph, graffiti_index):
     cfg = PipelineConfig(cutoffs=(3, 3), total=12)
     req = InputRequest("110", "male color portrait")
-    merged, report = run_request_detailed(cable_graph, graffiti_index, req, cfg)
+    merged, report = one_request(cable_graph, graffiti_index, req, cfg)
     assert report.fallback is True
     assert report.entities == []
     query = build_expanded_query(tokenize(req.text), [], None).root
@@ -275,7 +287,7 @@ def test_fallback_run_is_one_input_only_search(cable_graph, graffiti_index, prf)
     """With no linked entity the run is the input-only search, under the run tag."""
     cfg = PipelineConfig(cutoffs=(3, 3), total=12, prf=prf, fb_docs=3, fb_terms=2, tag="mine")
     req = InputRequest("110", "male color portrait")
-    merged, report = run_request_detailed(cable_graph, graffiti_index, req, cfg)
+    merged, report = one_request(cable_graph, graffiti_index, req, cfg)
     query = build_expanded_query(tokenize(req.text), [], None).root
     if prf:
         query = prf_expand(graffiti_index, query, 3, 2, cfg.orig_weight, None, cfg.mu)
@@ -292,7 +304,7 @@ def test_three_plan_run_first_five_from_eq1(graffiti_graph, graffiti_index):
     g, idx = graffiti_graph, graffiti_index
     cfg = PipelineConfig(cutoffs=(5, 3), total=12)
     req = InputRequest("73", "graffiti street art on walls")
-    merged, report = run_request_detailed(g, idx, req, cfg)
+    merged, report = one_request(g, idx, req, cfg)
 
     # independent eq1 (triangular) search
     inputs = [g.article_by_title("Graffiti"), g.article_by_title("Street_art")]
@@ -319,7 +331,7 @@ def test_run_request_deterministic(graffiti_graph, graffiti_index):
 def test_run_request_with_feedback_enabled(graffiti_graph, graffiti_index):
     cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=True, fb_docs=3, fb_terms=2)
     req = InputRequest("73", "graffiti street art on walls")
-    merged, report = run_request_detailed(graffiti_graph, graffiti_index, req, cfg)
+    merged, report = one_request(graffiti_graph, graffiti_index, req, cfg)
     assert len(merged.entries) == 10
     assert report.fallback is False
     # feedback is deterministic, so reruns agree
@@ -334,23 +346,24 @@ def test_run_batch_order_and_jobs(graffiti_graph, graffiti_index):
         InputRequest("110", "male color portrait"),
         InputRequest("b1", "banksy"),
     ]
-    runs1, reports1 = run_batch(graffiti_graph, graffiti_index, topics, cfg, jobs=1)
-    runs2, _ = run_batch(graffiti_graph, graffiti_index, topics, cfg, jobs=3)
-    assert [r.request_id for r in runs1] == ["73", "110", "b1"]
-    assert [r.entries for r in runs1] == [r.entries for r in runs2]
-    assert reports1[1].fallback is True
+    runs, reports = run_batch(graffiti_graph, graffiti_index, topics, cfg, jobs=1)
+    assert [r.request_id for r in runs] == ["73", "110", "b1"]
+    assert reports[1].fallback is True
+    for jobs in (2, 0):  # requests run in order, one at a time
+        with pytest.raises(ValueError, match=f"jobs must be 1, got {jobs}"):
+            run_batch(graffiti_graph, graffiti_index, topics, cfg, jobs=jobs)
 
 
 @pytest.mark.parametrize("prf", [False, True])
 def test_shared_work_never_leaves_a_request(graffiti_graph, graffiti_index, prf):
-    """Memos are per request: what ran before cannot change a request's result."""
+    """Memos are per request or per batch: what ran before cannot change a request's result."""
     g, idx = graffiti_graph, graffiti_index
     cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=prf, fb_docs=3, fb_terms=2)
     a = InputRequest("73", "graffiti street art on walls")
     b = InputRequest("b1", "banksy stencil")
-    alone, alone_report = run_request_detailed(g, idx, b, cfg)
-    run_request_detailed(g, idx, a, cfg)
-    after_a, after_a_report = run_request_detailed(g, idx, b, cfg)
+    alone, alone_report = one_request(g, idx, b, cfg)
+    one_request(g, idx, a, cfg)
+    after_a, after_a_report = one_request(g, idx, b, cfg)
     assert after_a.entries == alone.entries
     assert after_a_report.expansion_sizes == alone_report.expansion_sizes
 
@@ -448,22 +461,6 @@ def test_batch_window_memo_holds_positive_multi_token_pairs(graffiti_graph, graf
     assert not any(v is memo for module in (pipeline, search_engine) for v in vars(module).values())
 
 
-def test_run_batch_threads_share_one_window_memo(graffiti_graph, graffiti_index):
-    """More workers than cores, switching threads often: results equal ``jobs=1``."""
-    g, idx = graffiti_graph, graffiti_index
-    cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=True, fb_docs=3, fb_terms=2)
-    topics = BATCH_TOPICS * 4
-    want = [r.entries for r in run_batch(g, idx, topics, cfg)[0]]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            runs, _reports = run_batch(g, idx, topics, cfg, jobs=8)
-            assert [r.entries for r in runs] == want
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graffiti_index, tmp_path):
     g, idx = graffiti_graph, graffiti_index
     path = tmp_path / "stop.txt"
@@ -472,10 +469,11 @@ def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graf
     cfg = PipelineConfig(stopwords_path=str(path), **feedback)
     topics = [InputRequest("73", "graffiti street art on walls"), InputRequest("b1", "banksy")]
     runs, _reports = run_batch(g, idx, topics, cfg)
+    linker = make_linker(g, cfg.max_ngram, None)
     for req, run in zip(topics, runs):
         assert run.entries == run_request(g, idx, req, cfg).entries
-        given, _report = run_request_detailed(g, idx, req, PipelineConfig(**feedback),
-                                              stopwords=frozenset({"art", "street"}))
+        given, _report = run_request_detailed(g, idx, req, PipelineConfig(**feedback), linker,
+                                              frozenset({"art", "street"}), matches={})
         assert given.entries == run.entries
 
 
