@@ -41,7 +41,7 @@ class ArchiveFormat:
     remedy: str  # how to re-create a file this build cannot read
 
     def error(self, path: str, reason: str) -> FormatError:
-        return FormatError(0, f"{path}: {reason}; {self.remedy}")
+        return FormatError(None, f"{path}: {reason}; {self.remedy}")
 
     def save(
         self, path: str, arrays: dict[str, np.ndarray], strings: dict[str, Sequence[str]]

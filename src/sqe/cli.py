@@ -227,6 +227,8 @@ def cmd_run(args) -> int:
         return _usage_error(f"--report {args.report} names the --out file")
     try:
         cfg = pipeline.PipelineConfig.from_file(args.config) if args.config else _DEFAULTS
+    except UnicodeEncodeError:  # the path, not a value: a data error, as in main
+        raise
     except ValueError as exc:  # a bad value, plan motif or cutoff in the config
         return _usage_error(f"{args.config}: {exc}")
     cfg = dataclasses.replace(cfg, prf=cfg.prf or args.prf)
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     except (SqeError, OSError) as exc:
         print(f"sqe: error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a path the file system cannot encode
+        print(f"sqe: error: {exc.object!r}: not encodable as a file name ({exc.reason})", file=sys.stderr)
         return 2
 
 

@@ -92,6 +92,7 @@ def enumerate_cycles(
     for seed in sorted(set(seeds)):
         path[:] = [seed]
         dfs(seed, rows[seed], seed)
+    del dfs  # dfs refers to itself: a cycle that would hold g until the next gc pass
     return found
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoEntities
-from .kb_graph import KBGraph, NodeId, NodeKind
+from .kb_graph import KBGraph, NodeId
 from .text import normalize_title, open_text, tokenize
 
 
@@ -43,17 +43,15 @@ class EntityLinker:
         self.max_ngram = max_ngram
         stop = stop_titles or set()
         phrases: dict[tuple[str, ...], NodeId] = {}
-        for node in g.nodes:
-            if node.kind is not NodeKind.ARTICLE:
+        for a in g.article_ids():
+            if stop and normalize_title(g.title(a)) in stop:
                 continue
-            if stop and normalize_title(node.title) in stop:
-                continue
-            toks = tuple(tokenize(node.title))
+            toks = tuple(tokenize(g.title(a)))
             if not 1 <= len(toks) <= max_ngram:
                 continue
             # token-identical titles are rare; keep the earliest node
             if toks not in phrases:
-                phrases[toks] = node.id
+                phrases[toks] = a
         self._phrases = phrases
 
     def link(self, req: InputRequest) -> LinkedEntities:

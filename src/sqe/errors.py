@@ -6,10 +6,10 @@ class SqeError(Exception):
 
 
 class FormatError(SqeError):
-    """A data file row could not be parsed."""
+    """A data file row could not be parsed; ``line`` is None for a fault of the whole file."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int | None, reason: str):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 

@@ -11,8 +11,11 @@ Adjacency is one CSR table, the link table: node ``i``'s row is the slice
 neighbors over every edge kind and both directions, sorted; how many
 stored edges join ``i`` to each; and an out flag, true where an edge
 leaves ``i`` toward that neighbor.  The endpoint kinds fix an edge's
-kind, so out flags and node kinds give every directed, per-kind row.  A
-:class:`KBGraph` is immutable once built.  Parallel edges between the
+kind, so out flags and node kinds give every directed, per-kind row.
+Nodes are columns: node ``i``'s title and external id are entry ``i`` of
+two tuples, and one bool per node, true for a category, is the only store
+of its kind.  A :class:`KBGraph` is immutable once built and holds no
+:class:`KBNode`; it builds one on read.  Parallel edges between the
 same ordered pair are deduplicated on load so that motif counting is
 well-defined.
 """
@@ -47,7 +50,6 @@ class EdgeKind(Enum):  # the two letters are the kinds of the source and the des
     CC = "CC"
 
 
-_NODE_KINDS = {k.value: k for k in NodeKind}
 _EDGE_KINDS = {k.value: k for k in EdgeKind}
 _UNKNOWN_ID, _SELF_LOOP, _WRONG_KINDS = "unknown node id", "self-loop", "wrong endpoint kinds"
 
@@ -94,34 +96,39 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class KBGraph:
-    """Immutable typed graph: one sorted link row per node, in the link
-    table ``_links``, ``(indptr, neighbors, edge counts, out flags)``.
-    Construct through :func:`load_graph`, :func:`build_graph` or
-    :func:`load_snapshot`, not directly.
-    """
+    """Immutable typed graph: node ``i`` is entry ``i`` of the node columns
+    ``_titles``, ``_ext_ids`` and ``_is_category``, and its sorted row of the
+    link table ``_links``, ``(indptr, neighbors, edge counts, out flags)``.
+    Construct through :func:`load_graph`, :func:`build_graph` or :func:`load_snapshot`, not directly."""
 
-    nodes: list[KBNode]
+    _titles: tuple[str, ...]
+    _ext_ids: tuple[str, ...]  # ids used in the source files, kept for round-tripping
     _title_index: dict[tuple[str, str], NodeId]  # (kind letter, normalized title) -> node
     _links: tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]
-    _is_category: np.ndarray  # one bool per node
+    _is_category: np.ndarray  # one bool per node, the only store of node kind
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._titles)
+
+    @property
+    def nodes(self) -> list[KBNode]:
+        """Every node, in a list built anew on every read; :meth:`node` reads one."""
+        return [self.node(i) for i in range(len(self))]
 
     def node(self, i: NodeId) -> KBNode:
-        return self.nodes[i]
+        return KBNode(i, self.kind(i), self._titles[i], self._ext_ids[i])
 
     def kind(self, i: NodeId) -> NodeKind:
-        return self.nodes[i].kind
+        return NodeKind.CATEGORY if self._is_category[i] else NodeKind.ARTICLE
 
     def title(self, i: NodeId) -> str:
-        return self.nodes[i].title
+        return self._titles[i]
 
     def is_article(self, i: NodeId) -> bool:
-        return self.nodes[i].kind is NodeKind.ARTICLE
+        return not self._is_category[i]
 
     def article_ids(self) -> list[NodeId]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.ARTICLE]
+        return np.flatnonzero(~self._is_category).tolist()
 
     def node_by_title(self, kind: NodeKind, title: str) -> NodeId | None:
         return self._title_index.get((kind.value, normalize_title(title)))
@@ -167,7 +174,7 @@ class KBGraph:
     def _edges(self, kind: EdgeKind) -> tuple[np.ndarray, np.ndarray]:
         """``kind``'s int32 ``(src, dst)`` columns, ordered by source, then destination."""
         indptr, neighbors, _counts, out = self._links
-        src = np.repeat(np.arange(len(self.nodes), dtype=np.int32), np.diff(indptr))[out]
+        src = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(indptr))[out]
         dst = neighbors[out]
         fits = ((self._is_category[src] == (kind is EdgeKind.CC))
                 & (self._is_category[dst] == (kind is not EdgeKind.AA)))
@@ -236,29 +243,24 @@ def _link_table(edges: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray
     return indptr, neighbors.astype(np.int32), counts.astype(np.int32), out
 
 
-def _assemble(
-    nodes: list[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray], source: str = "nodes"
-) -> KBGraph:
-    """The graph over ``nodes`` from each edge kind's ``(src, dst)`` id pairs.
-
+def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
+           edges_by_kind: dict[EdgeKind, np.ndarray], source: str = "nodes") -> KBGraph:
+    """The graph over :func:`_make_nodes` columns and each edge kind's ``(src, dst)`` id pairs.
     Each title is normalized here, once; a node that repeats an earlier
-    normalized title of its kind raises with its line in ``source``.
-    """
-    kinds = _kind_bytes(nodes)
+    normalized title of its kind raises with its line in ``source``."""
     title_index: dict[tuple[str, str], NodeId] = {}
-    for nd, letter in zip(nodes, kinds.tobytes().decode("ascii")):
-        key = (letter, normalize_title(nd.title))
-        if title_index.setdefault(key, nd.id) != nd.id:
-            raise FormatError(nd.id + 1, f"{source}: duplicate normalized title {key[1]!r} "
-                                         f"for kind {letter}")
+    for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), map(normalize_title, titles))):
+        if title_index.setdefault(key, i) != i:
+            raise FormatError(i + 1, f"{source}: duplicate normalized title {key[1]!r} "
+                                     f"for kind {key[0]}")
     edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
     is_category = kinds == ord(NodeKind.CATEGORY.value)
-    return KBGraph(nodes, title_index, _link_table(edges, len(nodes)), is_category)
+    return KBGraph(titles, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
 
 
-def _kind_bytes(nodes: Sequence[KBNode]) -> np.ndarray:
-    """Each node's kind letter as one byte: the snapshot's ``kinds`` column."""
-    return np.frombuffer("".join([nd.kind.value for nd in nodes]).encode(), np.uint8)
+def _assemble(nodes: Sequence[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]) -> KBGraph:
+    """The graph over ``KBNode`` rows in id order; they get the checks node rows get."""
+    return _graph(*_make_nodes([(n.ext_id, n.kind.value, n.title) for n in nodes], "nodes"), edges_by_kind)
 
 
 def _edge_fault(kinds, src, dst, want_src, want_dst) -> tuple[int, str] | None:
@@ -279,35 +281,36 @@ def _edge_fault(kinds, src, dst, want_src, want_dst) -> tuple[int, str] | None:
     return i, _UNKNOWN_ID if not known[i] else _SELF_LOOP if loop[i] else _WRONG_KINDS
 
 
-def _make_nodes(rows: Iterable[tuple[str, str, str]], source: str) -> list[KBNode]:
-    nodes: list[KBNode] = []
-    seen_ext: set[str] = set()
+def _make_nodes(rows: Iterable[tuple[str, str, str]], source: str
+                ) -> tuple[dict[str, NodeId], np.ndarray, tuple[str, ...]]:
+    """Node rows as columns: each ext id's node id, the kind letters as ``uint8``, the titles."""
+    ids: dict[str, NodeId] = {}
+    letters: list[str] = []
+    titles: list[str] = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) != 3:
             raise FormatError(lineno, f"{source}: expected 3 columns, got {len(row)}")
         ext_id, kind_s, title = row
-        kind = _NODE_KINDS.get(kind_s)
-        if kind is None:
+        if kind_s not in ("A", "C"):
             raise FormatError(lineno, f"{source}: unknown node kind {kind_s!r}")
         if not title.strip():
             raise FormatError(lineno, f"{source}: empty title")
-        if ext_id in seen_ext:
+        if ids.setdefault(ext_id, len(titles)) != len(titles):
             raise FormatError(lineno, f"{source}: duplicate node id {ext_id!r}")
-        seen_ext.add(ext_id)
-        nodes.append(KBNode(len(nodes), kind, title, ext_id))
-    return nodes
+        letters.append(kind_s)
+        titles.append(title)
+    return ids, np.frombuffer("".join(letters).encode(), np.uint8), tuple(titles)
 
 
-def _make_edges(rows: Sequence[tuple[str, ...]], nodes: list[KBNode],
+def _make_edges(rows: Sequence[tuple[str, ...]], ids: dict[str, NodeId], kinds: np.ndarray,
                 source: str) -> dict[EdgeKind, np.ndarray]:
     """Each edge kind's ``(src, dst)`` id pairs; the earliest bad row raises."""
     bad_row = (i for i, row in enumerate(rows) if len(row) != 3 or row[2] not in _EDGE_KINDS)
     parsed = next(bad_row, len(rows))  # rows before the first that does not parse
-    ids = {nd.ext_id: nd.id for nd in nodes}
     ends = [ids.get(ext, -1) for row in rows[:parsed] for ext in row[:2]]  # -1: an unknown id
     pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
     kind_column = np.array([row[2] for row in rows[:parsed]], dtype="S2")
-    kinds, want = _kind_bytes(nodes), kind_column.view(np.uint8).reshape(-1, 2)
+    want = kind_column.view(np.uint8).reshape(-1, 2)
     if fault := _edge_fault(kinds, *pairs.T, *want.T):  # want: each row's endpoint kind letters
         i, rule = fault
         src_s, dst_s, kind_s = rows[i]
@@ -333,8 +336,8 @@ def build_graph(nodes: Sequence[tuple[str, str, str]],
     edges as ``(src_ext_id, dst_ext_id, "AA"|"AC"|"CC")``.  Raises the
     same errors as :func:`load_graph`, with row numbers as line numbers.
     """
-    node_list = _make_nodes(nodes, "nodes")
-    return _assemble(node_list, _make_edges(edges, node_list, "edges"))
+    ids, kinds, titles = _make_nodes(nodes, "nodes")
+    return _graph(ids, kinds, titles, _make_edges(edges, ids, kinds, "edges"))
 
 
 def _read_tsv(path: str) -> list[tuple[str, ...]]:
@@ -353,18 +356,18 @@ def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
     line: first the first bad node row, then the earliest edge row that does
     not parse or breaks an edge rule, then a title repeated within a kind.
     """
-    node_list = _make_nodes(_read_tsv(nodes_path), nodes_path)
-    edges = _make_edges(_read_tsv(edges_path), node_list, edges_path)
-    return _assemble(node_list, edges, nodes_path)
+    ids, kinds, titles = _make_nodes(_read_tsv(nodes_path), nodes_path)
+    edges = _make_edges(_read_tsv(edges_path), ids, kinds, edges_path)
+    return _graph(ids, kinds, titles, edges, nodes_path)
 
 
 def save_snapshot(g: KBGraph, path: str) -> None:
     """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
-    arrays = {"kinds": _kind_bytes(g.nodes)}
+    kinds = np.where(g._is_category, ord(NodeKind.CATEGORY.value), ord(NodeKind.ARTICLE.value))
+    arrays = {"kinds": kinds.astype(np.uint8)}
     for k in EdgeKind:
         arrays[f"{k.value}_src"], arrays[f"{k.value}_dst"] = g._edges(k)
-    strings = {"ext_ids": [n.ext_id for n in g.nodes], "titles": [n.title for n in g.nodes]}
-    _SNAPSHOT_FORMAT.save(path, arrays, strings)
+    _SNAPSHOT_FORMAT.save(path, arrays, {"ext_ids": g._ext_ids, "titles": g._titles})
 
 
 def load_snapshot(path: str) -> KBGraph:
@@ -375,7 +378,7 @@ def load_snapshot(path: str) -> KBGraph:
     if not (kinds.ndim == 1 and kinds.dtype == np.uint8
             and kinds.size == len(ext_ids) == len(titles)):
         raise _SNAPSHOT_FORMAT.error(path, "node columns do not fit together")
-    nodes = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
+    ids, kinds, titles = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
     edges = {}
     for kind in EdgeKind:
         src, dst = columns[f"{kind.value}_src"], columns[f"{kind.value}_dst"]
@@ -385,4 +388,4 @@ def load_snapshot(path: str) -> KBGraph:
         if fault := _edge_fault(kinds, src, dst, *kind.value.encode()):
             raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge at index {fault[0]}: {fault[1]}")
         edges[kind] = np.stack([src, dst], axis=1)
-    return _assemble(nodes, edges, path)
+    return _graph(ids, kinds, titles, edges, path)

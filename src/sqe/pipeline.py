@@ -133,7 +133,7 @@ class PipelineConfig:
                 pairs = [item.split(":", 1) for item in text.split(",")]
                 bad = [pair[0] for pair in pairs if len(pair) == 1]
                 if bad:
-                    raise FormatError(0, f"{path}: plan entry {bad[0]!r} is not label:kind")
+                    raise FormatError(None, f"{path}: plan entry {bad[0]!r} is not label:kind")
                 kwargs["plan"] = tuple((l.strip(), MotifKind(k.strip().lower())) for l, k in pairs)
             elif f.name == "cutoffs":  # an empty value is no cutoffs, for a one-entry plan
                 kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
@@ -142,7 +142,7 @@ class PipelineConfig:
             else:
                 kwargs[f.name] = text if f.default is None else type(f.default)(text)
         if values:
-            raise FormatError(0, f"{path}: unknown config keys {sorted(values)}")
+            raise FormatError(None, f"{path}: unknown config keys {sorted(values)}")
         return cls(**kwargs)
 
 

@@ -257,6 +257,26 @@ def test_data_errors_exit_2(tmp_path, capsys):
     exits_2("eval", "--run", run, "--qrels", not_utf8)
     exits_2("merge", "--run", not_utf8, "--run", run, "--cutoffs", "5")
 
+    # a fault of the whole file names the file, with no line
+    junk = tmp_path / "junk.bin"
+    junk.write_text("not an index\n")
+    assert exits_2("search", "--index", junk, "--query", "x").startswith(f"sqe: error: {junk}: ")
+    cfg = tmp_path / "bad.cfg"
+    for text in ("plan = eq1\n", "nonsense = 1\n"):
+        cfg.write_text(text)
+        err = exits_2("run", "--kb", junk, "--index", junk, "--topics", qrels, "--config", cfg)
+        assert err.startswith(f"sqe: error: {cfg}: ")
+
+    # a path the file system cannot encode
+    for argv in (["analyze-cycles", "--kb", "\ud800", "--seeds", "x"],
+                 ["search", "--index", "\ud800", "--query", "x"],
+                 ["ingest", "--nodes", "\ud800", "--edges", edges],
+                 ["eval", "--run", "\ud800", "--qrels", qrels],
+                 ["run", "--kb", junk, "--index", junk, "--topics", qrels, "--config", "\ud800"],
+                 ["run", "--kb", junk, "--index", junk, "--topics", qrels, "--out", "\ud800",
+                  "--report", tmp_path / "report.tsv"]):
+        assert "'\\ud800'" in exits_2(*argv)
+
 
 def test_undecodable_byte_past_first_read_chunk_names_its_line(tmp_path, capsys):
     nodes = tmp_path / "n.tsv"
@@ -692,6 +712,8 @@ _CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
 @example(call=("build-query", [("--motif", "both")]))
 @example(call=("build-query", [("--entities", "!!!")]))
 @example(call=("merge", [("--total", "9" * 400)]))
+@example(call=("analyze-cycles", [("--kb", "\ud800")]))  # a path the file system cannot encode
+@example(call=("run", [("--out", "\ud800")]))
 def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_index_file,
                                           monkeypatch, capsys):
     """Any value for any option ends in exit 0, 1 or 2, never in a traceback, and a

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -230,6 +232,19 @@ def test_rows_are_read_once_and_never_at_the_last_depth(monkeypatch, max_len):
     # a path's first max_len - 1 nodes are read: the nodes within max_len - 2 hops of a seed
     within = {i for i, d in _hops(nodes, edges, seeds).items() if d <= max_len - 2}
     assert set(reads) == within and set(reads.values()) == {1}
+
+
+def test_enumeration_leaves_no_reference_to_the_graph():
+    """Nothing the call made still holds ``g``, so a graph is freed with its last
+    name and not at a later gc pass; with gc off, a reference cycle would keep it."""
+    g = build_graph(*random_graph(random.Random(43), 30))
+    before = sys.getrefcount(g)
+    gc.disable()
+    try:
+        assert enumerate_cycles(g, {0, 1})
+        assert sys.getrefcount(g) == before
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("max_len", range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1))

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import sqe
 import sqe.kb_graph
+from sqe.entity_linker import EntityLinker
 from sqe.errors import FormatError, KindMismatch, NotAnArticle, NotACategory
 from sqe.kb_graph import (
     EdgeKind,
+    KBNode,
     NodeKind,
     build_graph,
     load_graph,
@@ -205,6 +207,16 @@ def test_directed_reads_match_the_distinct_rows(seed, n_nodes, reciprocal_cc):
         save_snapshot(g, f"{tmp}/kb.npz")
         with np.load(f"{tmp}/kb.npz") as snapshot:
             columns = {name: snapshot[name] for name in snapshot.files}
+        back = load_snapshot(f"{tmp}/kb.npz")
+    for h in (g, back):  # node reads, before and after a snapshot round trip
+        assert len(h) == len(nodes)
+        assert h.nodes == [KBNode(i, NodeKind(k), t, e) for i, (e, k, t) in enumerate(nodes)]
+        for i, (ext, kind, title) in enumerate(nodes):
+            assert h.node(i) == KBNode(i, NodeKind(kind), title, ext)
+            assert (h.kind(i), h.title(i), h.is_article(i)) == (NodeKind(kind), title, kind == "A")
+            by_title = h.article_by_title if kind == "A" else h.category_by_title
+            assert by_title(title) == i
+        assert h.article_ids() == [i for i, (_e, kind, _t) in enumerate(nodes) if kind == "A"]
     for k in EdgeKind:
         want = [(s, d) for kind, s, d in rows if kind == k.value]
         assert g.edge_count(k) == len(want)
@@ -413,6 +425,27 @@ def test_each_title_is_normalized_once_per_load(tmp_path, monkeypatch):
     calls.clear()
     load_snapshot(snapshot)
     assert len(calls) == len(nodes)
+
+
+def test_loading_builds_no_node_objects(tmp_path, monkeypatch):
+    nodes, edges = random_graph(random.Random(5), 40)
+    nodes_path = write_tsv(tmp_path / "n.tsv", nodes)
+    edges_path = write_tsv(tmp_path / "e.tsv", edges)
+    snapshot = str(tmp_path / "kb.bin")
+    built = []
+
+    class Counting(KBNode):
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
+
+    monkeypatch.setattr(sqe.kb_graph, "KBNode", Counting)
+    g = load_graph(nodes_path, edges_path)
+    build_graph(nodes, edges)
+    save_snapshot(g, snapshot)
+    EntityLinker(load_snapshot(snapshot))
+    assert built == []
+    assert g.node(3).id == 3 and built == [3]  # the counter sees a node built on read
 
 
 def _bad_edge(draw, fault, articles, categories):
