@@ -253,10 +253,11 @@ def cmd_merge(args) -> int:
                             f"got {len(args.cutoffs)}")
     run_files = [read_trec_run(p) for p in args.run]
     by_qid = [{r.request_id: r for r in runs} for runs in run_files]
+    qids = dict.fromkeys(qid for m in by_qid for qid in m)  # in order of first appearance
+    tag = run_files[0][0].tag if run_files[0] else "sqe"  # for a stand-in list
     merged = []
-    for ranked in run_files[0]:
-        qid = ranked.request_id
-        lists = [m.get(qid, RankedList(qid, [])) for m in by_qid]
+    for qid in qids:  # a run that lacks a request gives it an empty list
+        lists = [m.get(qid, RankedList(qid, [], tag)) for m in by_qid]
         merged.append(pipeline.merge_lists(lists, args.cutoffs, args.total))
     with _output(args.out) as out:
         write_trec_run(merged, out)

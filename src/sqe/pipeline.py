@@ -196,21 +196,13 @@ def merge_lists(
     qids = {r.request_id for r in lists}
     if len(qids) != 1:
         raise ValueError(f"merge_lists got lists for different requests: {sorted(qids)}")
-    quotas = list(cutoffs) + [None]
     taken: list[str] = []
     seen: set[str] = set()
-    for ranked, quota in zip(lists, quotas):
-        appended = 0
-        for doc_id, _score in ranked.entries:
-            if len(taken) >= total:
-                break
-            if doc_id in seen:
-                continue
-            if quota is not None and appended >= quota:
-                break
-            taken.append(doc_id)
-            seen.add(doc_id)
-            appended += 1
+    for ranked, quota in zip(lists, [*cutoffs, total]):
+        fresh = [d for d, _s in ranked.entries if d not in seen]
+        fresh = fresh[: min(quota, total - len(taken))]
+        taken += fresh
+        seen.update(fresh)
     top = min(total, sys.float_info.max)  # float(total) would overflow past it
     entries = [(doc_id, float(top - rank)) for rank, doc_id in enumerate(taken)]
     return RankedList(lists[0].request_id, entries, lists[0].tag)

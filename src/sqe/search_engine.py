@@ -9,13 +9,13 @@ exhaustive over the collection, which keeps the ranking contract exact.
 
 Indexes are immutable after build.  Work shared between searches lives
 in memos that belong to the caller, never to ``Index`` or to this
-module.  ``search`` and ``prf_expand`` take one optional ``leaves``
-memo, which can hold two; entries are filled on first use and never
-changed once stored:
+module.  ``search`` and ``prf_expand`` take one optional ``Leaves``
+memo, which holds two, and make a fresh one when given none; entries
+are filled on first use and never changed once stored:
 
-* the dict itself: each term's and window's dense score vector for one
-  index and one ``mu``, keyed by ``(n, tokens)``; a pipeline keeps one
-  per request.
+* the ``Leaves`` dict itself: each term's and window's dense score
+  vector for one index and one ``mu``, keyed by ``(n, tokens)``; a
+  pipeline keeps one per request.
 * ``Leaves.matches``: each multi-token window's match pairs, the
   document ordinals and counts where the count is above 0, keyed by
   ``(n, tokens)``; it depends on the index alone, so a pipeline shares
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
@@ -67,8 +68,10 @@ class RankedList:
 
     def __post_init__(self):
         scores = list(map(operator.itemgetter(1), self.entries))
-        if any(map(operator.lt, scores, islice(scores, 1, None))):
-            raise ValueError("ranked list scores must be non-increasing")
+        # every comparison with a nan is false, so a nan fails the pairwise test
+        ordered = all(map(operator.ge, scores, islice(scores, 1, None)))
+        if not ordered or (len(scores) == 1 and math.isnan(scores[0])):
+            raise ValueError("ranked list scores must be non-increasing numbers")
         if len(set(map(operator.itemgetter(0), self.entries))) != len(self.entries):
             raise ValueError("ranked list doc ids must be unique")
 
@@ -237,15 +240,13 @@ def _window_matches(idx: Index, n: int, tokens: Sequence[str]) -> tuple[np.ndarr
 WindowMatches = dict[tuple[int, tuple[str, ...]], np.ndarray]
 
 
-def _window_tf(
-    idx: Index, n: int, tokens: Sequence[str], matches: WindowMatches | None = None
-) -> np.ndarray:
+def _window_tf(idx: Index, n: int, tokens: Sequence[str], matches: WindowMatches) -> np.ndarray:
     """Per-document window match count, as floats over the ordinals.
 
     ``matches`` memoizes the pairs of multi-token windows by ``(n, tokens)``
     (see the module docstring); a term's count is cheaper to recompute.
     """
-    if matches is None or len(tokens) == 1:
+    if len(tokens) == 1:
         docs, counts = _window_matches(idx, n, tokens)
     else:
         key = (n, tuple(tokens))
@@ -261,7 +262,7 @@ def _window_tf(
 def window_tf(idx: Index, doc: str | int, n: int, tokens: Sequence[str]) -> int:
     """Window match count inside one document."""
     window = Window(n, tokens)  # checks the size
-    return int(_window_tf(idx, n, window.tokens)[idx.ordinal(doc)])
+    return int(_window_tf(idx, n, window.tokens, {})[idx.ordinal(doc)])
 
 
 def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
@@ -272,29 +273,28 @@ def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
 class Leaves(dict):
     """Leaf score vectors keyed by ``(n, tokens)``, a term being ``(1, (token,))``.
 
-    It must only ever see one index and one mu.  ``matches``, when given,
-    is a window match memo for the same index that may outlive this one
-    (see the module docstring); a plain dict works as a memo without it.
+    It must only ever see one index and one mu.  ``matches`` is its window
+    match memo for the same index: a batch's, which outlives this memo (see
+    the module docstring), or a fresh dict of its own.
     """
 
     __slots__ = ("matches",)
 
-    def __init__(self, matches: WindowMatches | None = None):
+    def __init__(self, matches: WindowMatches):
         super().__init__()
         self.matches = matches
 
 
-def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: dict | None = None) -> np.ndarray:
-    """Per-document log-belief of ``q``, memoized in ``leaves`` (see ``Leaves``)."""
+def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves) -> np.ndarray:
+    """Per-document log-belief of ``q``, memoized in ``leaves``."""
     if isinstance(q, (Term, Window)):
         key = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
-        vec = leaves.get(key) if leaves is not None else None
+        vec = leaves.get(key)
         if vec is None:
-            tf = _window_tf(idx, *key, getattr(leaves, "matches", None))
+            tf = _window_tf(idx, *key, leaves.matches)
             vec = _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
-            if leaves is not None:
-                vec.flags.writeable = False
-                leaves[key] = vec
+            vec.flags.writeable = False
+            leaves[key] = vec
         return vec
     if isinstance(q, Combine):
         parts = [_score_vector(idx, c, mu, leaves) for c in q.children]
@@ -309,7 +309,23 @@ def score_node(idx: Index, q: QueryNode, doc: str | int, mu: float = DEFAULT_MU)
     """Log-belief of one document under one query node."""
     if idx.n_docs == 0 or idx.collection_length == 0:
         raise EmptyCollection("cannot score against an empty collection")
-    return float(_score_vector(idx, q, mu)[idx.ordinal(doc)])
+    return float(_score_vector(idx, q, mu, Leaves({}))[idx.ordinal(doc)])
+
+
+def _top(
+    idx: Index, q: QueryNode, k: int, mu: float, leaves: Leaves | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``search``'s top-k as ordinals and scores; a fresh memo when ``leaves`` is None."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if idx.n_docs == 0:
+        return idx._by_id, np.zeros(0)
+    if idx.collection_length == 0:
+        raise EmptyCollection("collection has documents but no tokens; scores are undefined")
+    scores = _score_vector(idx, q, mu, Leaves({}) if leaves is None else leaves)
+    by_id = idx._by_id  # a stable sort keeps doc id order among equal scores
+    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    return top, scores[top]
 
 
 def search(
@@ -319,24 +335,12 @@ def search(
     request_id: str = "0",
     tag: str = "sqe",
     mu: float = DEFAULT_MU,
-    leaves: dict | None = None,
+    leaves: Leaves | None = None,
 ) -> RankedList:
-    """Score every document; top-k by score descending, doc id ascending.
-
-    ``leaves``, when given, is a caller-owned memo of leaf score vectors
-    for this index and this ``mu``, a ``Leaves`` or a plain dict (see the
-    module docstring).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if idx.n_docs == 0:
-        return RankedList(request_id, [], tag)
-    if idx.collection_length == 0:
-        raise EmptyCollection("collection has documents but no tokens; scores are undefined")
-    scores = _score_vector(idx, q, mu, leaves)
-    by_id = idx._by_id  # a stable sort keeps doc id order among equal scores
-    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
-    entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
+    """Score every document; top-k by score descending, doc id ascending,
+    with leaf scores memoized in ``leaves`` (see the module docstring)."""
+    top, scores = _top(idx, q, k, mu, leaves)
+    entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores.tolist()))
     return RankedList(request_id, entries, tag)
 
 
@@ -374,7 +378,7 @@ def prf_expand(
     orig_weight: float = 0.5,
     stopwords: frozenset[str] | None = None,
     mu: float = DEFAULT_MU,
-    leaves: dict | None = None,
+    leaves: Leaves | None = None,
 ) -> QueryNode:
     """Relevance-model feedback over the top retrieved documents.
 
@@ -383,22 +387,18 @@ def prf_expand(
     tokens are dropped; the top ``fb_terms`` remainder re-weights the
     original query as (orig_weight, q) + (1 - orig_weight, feedback).
     With no retrievable documents or fb_terms <= 0 the query is returned
-    unchanged.  ``leaves`` is passed to the feedback search, as in ``search``.
+    unchanged.  ``leaves`` scores the feedback ranking, as in ``search``.
     """
     if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
         return q
-    top = search(idx, q, fb_docs, mu=mu, leaves=leaves).entries
-    if not top:
-        return q
-    scores = np.array([s for _d, s in top])
+    top, scores = _top(idx, q, fb_docs, mu, leaves)
     soft = np.exp(scores - scores.max())
     soft /= soft.sum()
 
     excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
     weights = np.zeros(len(idx.vocab))
     seen = np.zeros(len(idx.vocab), dtype=bool)
-    for rank, (doc_id, _s) in enumerate(top):
-        ordinal = idx.ordinal(doc_id)
+    for rank, ordinal in enumerate(top.tolist()):
         dlen = int(idx.doc_lengths[ordinal])
         if not dlen:
             continue

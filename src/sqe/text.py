@@ -34,10 +34,11 @@ def normalize_title(title: str) -> str:
 
 @contextlib.contextmanager
 def open_text(path: str):
-    """Open an input file as UTF-8 text; every reader goes through here, so
-    a byte that does not decode raises :class:`FormatError` with its line."""
+    """Open an input file as UTF-8 text, less a leading byte-order mark; every
+    reader goes through here, so a byte that does not decode raises
+    :class:`FormatError` with its line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raw = Path(path).read_bytes()

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sqe.cli import main, make_parser
-from sqe.kb_graph import EdgeKind, load_snapshot
-from sqe.search_engine import MAX_MU, Document, build_index, read_trec_run
+from sqe.errors import FormatError
+from sqe.evaluation import Qrels
+from sqe.kb_graph import EdgeKind, load_graph, load_snapshot
+from sqe.pipeline import PipelineConfig, load_topics
+from sqe.search_engine import MAX_MU, Document, build_index, read_documents, read_trec_run
 
 from conftest import CABLE_EDGES, CABLE_NODES, GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 from test_pipeline import GRAFFITI_DOCS
@@ -287,6 +290,73 @@ def test_undecodable_byte_past_first_read_chunk_names_its_line(tmp_path, capsys)
     assert main(["ingest", "--nodes", str(nodes), "--edges", edges]) == 2
     err = capsys.readouterr().err
     assert err == f"sqe: error: line 2000: {nodes}: not UTF-8 (invalid start byte, byte 0xff)\n"
+
+
+def test_run_with_a_nan_score_exits_2(tmp_path, capsys):
+    qrels = tmp_path / "q.txt"
+    qrels.write_text("1 0 d1 1\n")
+    run = tmp_path / "nan.trec"
+    run.write_text("2 Q0 d1 1 1.0 x\n1 Q0 d1 1 1.0 x\n1 Q0 d2 2 nan x\n1 Q0 d3 3 0.5 x\n")
+    for argv in (["merge", "--run", run, "--run", run, "--cutoffs", "5"],
+                 ["eval", "--run", run, "--qrels", qrels]):
+        assert main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sqe: error: line 2:") and err.count("\n") == 1, err
+        assert "request '1'" in err and "scores must be non-increasing" in err
+
+
+def test_merge_keeps_requests_the_first_run_lacks(tmp_path, capsys):
+    r1 = tmp_path / "r1.trec"
+    r1.write_text("q1 Q0 a 1 2.0 first\n")
+    r2 = tmp_path / "r2.trec"
+    r2.write_text("q3 Q0 f 1 1.0 second\nq1 Q0 b 1 1.0 second\n"
+                  "q2 Q0 d 1 2.0 second\nq2 Q0 e 2 1.0 second\n")
+    argv = ["merge", "--run", str(r1), "--run", str(r2), "--cutoffs", "1", "--total", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "q1 Q0 a 1 5.000000 first",
+        "q1 Q0 b 2 4.000000 first",
+        "q3 Q0 f 1 5.000000 first",
+        "q2 Q0 d 1 5.000000 first",
+        "q2 Q0 e 2 4.000000 first",
+    ]
+
+
+def test_byte_order_mark_is_not_part_of_the_text(tmp_path):
+    files = {
+        "topics.tsv": "q1\tgraffiti street art\n",
+        "qrels.txt": "q1 0 d1 1\n",
+        "run.trec": "q1 Q0 d1 1 1.0 x\n",
+        "sqe.conf": "plan = eq2:both\ncutoffs =\n",
+        "docs.jsonl": '{"id": "d1", "text": "street art"}\n',
+        "nodes.tsv": "a1\tA\tGraffiti\na2\tA\tStreet_art\n",
+        "edges.tsv": "a1\ta2\tAA\n",
+    }
+
+    def read_all(folder: Path) -> list:
+        g = load_graph(str(folder / "nodes.tsv"), str(folder / "edges.tsv"))
+        return [
+            load_topics(str(folder / "topics.tsv")),
+            Qrels.load(str(folder / "qrels.txt")).judgments,
+            read_trec_run(str(folder / "run.trec")),
+            PipelineConfig.from_file(str(folder / "sqe.conf")),
+            list(read_documents(str(folder / "docs.jsonl"))),
+            g.nodes,
+            [g.out_neighbors(a, EdgeKind.AA).tolist() for a in range(len(g))],
+        ]
+
+    for folder, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / folder).mkdir()
+        for name, text in files.items():
+            (tmp_path / folder / name).write_text(prefix + text, encoding="utf-8")
+    assert (tmp_path / "bom" / "run.trec").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_all(tmp_path / "bom") == read_all(tmp_path / "plain")
+
+    bad = tmp_path / "bom" / "bad.tsv"  # the mark does not shift the reported line
+    bad.write_bytes(b"\xef\xbb\xbfq1\tgraffiti\nq2\t\xff\n")
+    with pytest.raises(FormatError) as info:
+        load_topics(str(bad))
+    assert info.value.line == 2 and "byte 0xff" in str(info.value)
 
 
 def test_eval_with_a_bad_run_writes_no_table(tmp_path, capsys):

@@ -1,13 +1,16 @@
+import importlib.util
 import io
+import json
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import merge_oracle
-from sqe import pipeline, search_engine
+from sqe import cli, pipeline, search_engine
 from sqe.entity_linker import InputRequest
 from sqe.errors import FormatError, LengthMismatch, NoEntities
 from sqe.kb_graph import build_graph
@@ -33,6 +36,8 @@ from sqe.search_engine import (
     search,
 )
 from sqe.text import tokenize
+
+from conftest import GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 
 GRAFFITI_DOCS = [
     ("doc01", "banksy painted a stencil on the wall"),
@@ -129,6 +134,28 @@ def test_merge_properties_on_random_overlapping_lists():
         prefix = lists[0].doc_ids()[:5]
         assert ids[: len(prefix)] == prefix  # first list's top 5 preserved
         assert ids == merge_oracle([l.doc_ids() for l in lists], [5, 30], 100)
+
+
+MERGE_POOL = [f"d{i}" for i in range(10)]  # a small pool, so lists overlap heavily
+
+merge_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from(MERGE_POOL), unique=True, max_size=10), min_size=n, max_size=n),
+    st.lists(st.integers(1, 14), min_size=n - 1, max_size=n - 1),
+    st.integers(1, 12),
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=merge_cases)
+@example(case=([["a", "b", "c"], ["d", "e"]], [5], 2))  # the first cutoff is above the total
+@example(case=([["a", "b"], ["b", "c", "d"], ["e", "f"]], [2, 3], 4))  # the cutoffs sum above it
+@example(case=([[], ["a"], []], [1, 1], 3))
+def test_merge_matches_oracle(case):
+    ids, cutoffs, total = case
+    merged = merge_lists([ranked("q", l) for l in ids], cutoffs, total)
+    assert merged.request_id == "q"
+    assert merged.doc_ids() == merge_oracle(ids, cutoffs, total)
+    assert [s for _d, s in merged.entries] == [float(total - r) for r in range(len(merged.entries))]
 
 
 # -- config and topics -------------------------------------------------------------
@@ -422,6 +449,47 @@ def test_run_batch_equals_fresh_requests(graffiti_graph, graffiti_index, prf, or
     assert [r.entries for r in runs] == [run_request(g, idx, req, cfg).entries for req in order]
 
 
+def _bench_spans():
+    """``bench/spans.py``, loaded from its file without touching ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("prf", [False, True], ids=["prf-off", "prf-on"])
+def test_every_traced_boundary_records_a_span(prf, graffiti_graph, graffiti_index, tmp_path):
+    """The boundaries that the benchmark wraps are still the ones a run passes through."""
+    spans = _bench_spans()
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10, prf=prf, fb_docs=3, fb_terms=2)
+    nodes = write_tsv(tmp_path / "nodes.tsv", GRAFFITI_NODES)
+    edges = write_tsv(tmp_path / "edges.tsv", GRAFFITI_EDGES)
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(json.dumps({"id": d, "text": t}) + "\n" for d, t in GRAFFITI_DOCS))
+    untraced, _reports = run_batch(g, idx, BATCH_TOPICS, cfg)
+
+    tracer = spans.Tracer(layers=True)
+    with spans.patched(tracer, spans.WindowLog()):
+        assert cli.main(["ingest", "--nodes", nodes, "--edges", edges,
+                         "--out", str(tmp_path / "kb.bin")]) == 0
+        assert cli.main(["index", "--docs", str(docs), "--out", str(tmp_path / "index.bin")]) == 0
+        runs, _reports = run_batch(g, idx, BATCH_TOPICS, cfg)
+    assert [r.entries for r in runs] == [r.entries for r in untraced]
+    assert pipeline.search is search and pipeline.merge_lists is merge_lists  # restored
+
+    want = {
+        "kb_graph.load_graph", "kb_graph.save_snapshot", "search_engine.build_index",
+        "pipeline.run_request", "entity_linker.table_build", "entity_linker.link",
+        "query_lang.build_expanded_query", "search_engine.search", "pipeline.merge_lists",
+    } | {f"motif_expander.expand.{kind.value}" for kind in MotifKind}
+    if prf:
+        want.add("search_engine.prf_expand")
+    assert want <= {sp.name for sp in tracer.spans}
+    assert len(tracer.named("pipeline.run_request")) == len(BATCH_TOPICS)
+
+
 def spy_on_matches(monkeypatch) -> list:
     """Each request's window ``matches`` memo, with its size when the request starts."""
     seen = []
@@ -448,7 +516,7 @@ def test_batch_window_memo_holds_positive_multi_token_pairs(graffiti_graph, graf
         n, tokens = key
         assert isinstance(n, int) and isinstance(tokens, tuple) and len(tokens) > 1
         assert (counts > 0).all()
-        tf = _window_tf(idx, n, tokens)
+        tf = _window_tf(idx, n, tokens, {})
         assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
         assert np.array_equal(np.bincount(ordinals, weights=counts, minlength=idx.n_docs), tf)
     keys = set(memo)

@@ -230,6 +230,16 @@ def test_insertion_order_independence():
     assert search(idx1, q, 10).entries == search(idx2, q, 10).entries
 
 
+def test_ranked_list_rejects_nan_scores():
+    nan = float("nan")
+    for scores in ([1.0, nan, 0.5], [nan, 1.0, nan, 2.0], [nan], [2.0, 1.0, nan], [nan, nan]):
+        entries = [(f"d{i}", s) for i, s in enumerate(scores)]
+        with pytest.raises(ValueError, match="scores must be non-increasing"):
+            RankedList("q", entries)
+    inf = float("inf")
+    assert RankedList("q", [("a", inf), ("b", 0.0), ("c", -inf)]).doc_ids() == ["a", "b", "c"]
+
+
 def test_ranked_list_invariants():
     with pytest.raises(ValueError, match="scores must be non-increasing"):
         RankedList("q", [("a", 1.0), ("b", 2.0)])
@@ -421,7 +431,7 @@ def collection_of(token_lists):
 def test_window_tf_vector_matches_oracle(docs, n, pattern):
     idx = build_index(collection_of(docs))
     tf = [window_tf_oracle(toks, n, pattern) for toks in docs]
-    assert _window_tf(idx, n, pattern).tolist() == tf
+    assert _window_tf(idx, n, pattern, {}).tolist() == tf
     matches = {}  # a miss, then a hit
     assert _window_tf(idx, n, pattern, matches).tolist() == tf
     assert _window_tf(idx, n, pattern, matches).tolist() == tf
@@ -430,7 +440,8 @@ def test_window_tf_vector_matches_oracle(docs, n, pattern):
     if idx.collection_length:
         want = _dirichlet(np.array(tf, dtype=float), sum(tf), idx.doc_lengths,
                           idx.collection_length, DEFAULT_MU)
-        assert np.array_equal(_score_vector(idx, Window(n, tuple(pattern)), DEFAULT_MU), want)
+        got = _score_vector(idx, Window(n, tuple(pattern)), DEFAULT_MU, Leaves({}))
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,7 +452,7 @@ def test_search_matches_sorted_and_naive_ranking(docs, q, k):
     assume(idx.collection_length > 0)
     got = search(idx, q, k).entries
     # reference order: every document sorted in Python by score descending, then doc id
-    scores = _score_vector(idx, q, DEFAULT_MU)
+    scores = _score_vector(idx, q, DEFAULT_MU, Leaves({}))
     order = sorted(range(idx.n_docs), key=lambda i: (-scores[i], idx.doc_ids[i]))
     assert got == [(idx.doc_ids[i], float(scores[i])) for i in order[:k]]
     raw = [(d.doc_id, d.tokens) for d in collection]
@@ -529,11 +540,11 @@ def leaf_keys(q) -> set:
 def test_shared_leaf_memo_matches_fresh_searches(docs, qs, k):
     idx = build_index(collection_of(docs))
     assume(idx.collection_length > 0)
-    memo = {}
+    memo = Leaves({})
     for q in qs:
         assert search(idx, q, k, leaves=memo).entries == search(idx, q, k).entries
         assert np.array_equal(_score_vector(idx, q, DEFAULT_MU, memo),
-                              _score_vector(idx, q, DEFAULT_MU))
+                              _score_vector(idx, q, DEFAULT_MU, Leaves({})))
     assert set(memo) == set().union(*(leaf_keys(q) for q in qs))
     for vec in memo.values():
         assert not vec.flags.writeable
@@ -551,7 +562,7 @@ def test_shared_leaf_memo_matches_fresh_searches(docs, qs, k):
 def test_shared_leaf_memo_matches_fresh_prf(docs, qs, fb_docs, fb_terms):
     idx = build_index(collection_of(docs))
     assume(idx.collection_length > 0)
-    memo = {}
+    memo = Leaves({})
     for q in qs:
         got = prf_expand(idx, q, fb_docs, fb_terms, leaves=memo)
         assert got == prf_expand(idx, q, fb_docs, fb_terms)
@@ -569,13 +580,13 @@ def test_shared_window_match_memo_matches_fresh_searches(docs, qs, k):
     for q in qs:
         assert search(idx, q, k, leaves=Leaves(matches)).entries == search(idx, q, k).entries
         assert np.array_equal(_score_vector(idx, q, DEFAULT_MU, Leaves(matches)),
-                              _score_vector(idx, q, DEFAULT_MU))
+                              _score_vector(idx, q, DEFAULT_MU, Leaves({})))
         got = prf_expand(idx, q, 3, 2, leaves=Leaves(matches))
         assert got == prf_expand(idx, q, 3, 2)
     windows = {key for q in qs for key in leaf_keys(q) if len(key[1]) > 1}
     assert set(matches) == windows  # multi-token windows only, keyed with their size
     for (n, tokens), (ordinals, counts) in matches.items():
-        tf = _window_tf(idx, n, tokens)
+        tf = _window_tf(idx, n, tokens, {})
         assert ordinals.shape == counts.shape == (ordinals.size,)
         assert (counts > 0).all()  # no zero-count pair, so no dense vector
         assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
