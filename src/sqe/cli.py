@@ -31,7 +31,7 @@ from .search_engine import (
     write_trec_run,
 )
 from .search_engine import load_index as _load_index
-from .text import open_text, tokenize
+from .text import lines, tokenize
 
 _DEFAULTS = pipeline.PipelineConfig()  # flags that set a config field default to it
 
@@ -190,26 +190,21 @@ def cmd_search(args) -> int:
         queries = {"1": parse(args.query)}
     elif args.queries:
         queries = {}
-        with open_text(args.queries) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                qid, tab, text = line.rstrip("\n").partition("\t")
-                if not tab:  # no qid prefix
-                    qid, text = str(lineno), line.strip()
-                qid = qid.strip()
-                if not is_run_id(qid):
-                    raise FormatError(
-                        lineno, f"{args.queries}: request id {qid!r} is empty or holds whitespace"
-                    )
-                if not text.strip():
-                    raise FormatError(lineno, f"{args.queries}: empty request text")
-                if qid in queries:
-                    raise FormatError(lineno, f"{args.queries}: duplicate request id {qid!r}")
-                try:
-                    queries[qid] = parse(text)
-                except ParseError as exc:
-                    raise FormatError(lineno, f"{args.queries}: request {qid!r}: {exc}") from None
+        for lineno, line in lines(args.queries):
+            qid, tab, text = line.partition("\t")
+            if not tab:  # no qid prefix
+                qid, text = str(lineno), line.strip()
+            qid = qid.strip()
+            if not is_run_id(qid):
+                raise FormatError(args.queries, lineno, f"request id {qid!r} is empty or holds whitespace")
+            if not text.strip():
+                raise FormatError(args.queries, lineno, "empty request text")
+            if qid in queries:
+                raise FormatError(args.queries, lineno, f"duplicate request id {qid!r}")
+            try:
+                queries[qid] = parse(text)
+            except ParseError as exc:
+                raise FormatError(args.queries, lineno, f"request {qid!r}: {exc}") from None
     else:
         return _usage_error("provide --query or --queries")
     runs = []

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; every fault of an input file
+is a :class:`FormatError`, which names the file and, where it has one, the line."""
 
 
 class SqeError(Exception):
@@ -6,23 +7,17 @@ class SqeError(Exception):
 
 
 class FormatError(SqeError):
-    """A data file row could not be parsed; ``line`` is None for a fault of the whole file."""
+    """Line ``line`` of input file ``path`` breaks ``reason``; ``line`` is None
+    for a fault of the whole file.  The message is ``line N: <path>: <reason>``,
+    or ``<path>: <reason>``, so no reader writes the path into its reason."""
 
-    def __init__(self, line: int | None, reason: str):
-        super().__init__(reason if line is None else f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
+    def __init__(self, path: str, line: int | None, reason: str):
+        super().__init__(f"{path}: {reason}" if line is None else f"line {line}: {path}: {reason}")
+        self.path, self.line, self.reason = path, line, reason
 
 
-class KindMismatch(SqeError):
+class KindMismatch(FormatError):
     """An edge's declared kind contradicts its endpoint node kinds."""
-
-    def __init__(self, line: int, reason: str = ""):
-        msg = f"line {line}: edge kind contradicts endpoint kinds"
-        if reason:
-            msg += f" ({reason})"
-        super().__init__(msg)
-        self.line = line
 
 
 class NotAnArticle(SqeError):

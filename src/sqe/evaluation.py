@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, LengthMismatch, TooFewPairs, UnknownQuery
 from .search_engine import RankedList
-from .text import open_text
+from .text import lines
 
 DEFAULT_KS = (5, 10, 15, 20, 30, 100, 200, 500, 1000)
 
@@ -30,24 +30,21 @@ class Qrels:
     def load(cls, path: str) -> "Qrels":
         """Whitespace-separated ``qid 0 docid rel`` rows; duplicates rejected."""
         judgments: dict[str, dict[str, int]] = {}
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise FormatError(lineno, f"{path}: expected 4 fields, got {len(parts)}")
-                qid, _iter, doc_id, rel_s = parts
-                try:
-                    rel = int(rel_s)
-                except ValueError:
-                    raise FormatError(lineno, f"{path}: bad relevance {rel_s!r}") from None
-                if rel < 0:
-                    raise FormatError(lineno, f"{path}: negative relevance {rel}")
-                per_q = judgments.setdefault(qid, {})
-                if doc_id in per_q:
-                    raise FormatError(lineno, f"{path}: duplicate pair ({qid}, {doc_id})")
-                per_q[doc_id] = rel
+        for lineno, line in lines(path):
+            parts = line.split()
+            if len(parts) != 4:
+                raise FormatError(path, lineno, f"expected 4 fields, got {len(parts)}")
+            qid, _iter, doc_id, rel_s = parts
+            try:
+                rel = int(rel_s)
+            except ValueError:
+                raise FormatError(path, lineno, f"bad relevance {rel_s!r}") from None
+            if rel < 0:
+                raise FormatError(path, lineno, f"negative relevance {rel}")
+            per_q = judgments.setdefault(qid, {})
+            if doc_id in per_q:
+                raise FormatError(path, lineno, f"duplicate pair ({qid}, {doc_id})")
+            per_q[doc_id] = rel
         return cls(judgments)
 
     def __contains__(self, request_id: str) -> bool:
@@ -120,37 +117,28 @@ class TTestResult(NamedTuple):
     significant: bool
 
 
+_TINY = 1e-300
+
+
+def _off_zero(v: float) -> float:
+    """``v``, or ``_TINY`` when it is too near 0 to divide by (Lentz's guard)."""
+    return _TINY if abs(v) < _TINY else v
+
+
 def _beta_cont_frac(x: float, a: float, b: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # the even, then the odd step
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             break
     return h

@@ -251,8 +251,7 @@ def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
     title_index: dict[tuple[str, str], NodeId] = {}
     for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), map(normalize_title, titles))):
         if title_index.setdefault(key, i) != i:
-            raise FormatError(i + 1, f"{source}: duplicate normalized title {key[1]!r} "
-                                     f"for kind {key[0]}")
+            raise FormatError(source, i + 1, f"duplicate normalized title {key[1]!r} for kind {key[0]}")
     edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
     is_category = kinds == ord(NodeKind.CATEGORY.value)
     return KBGraph(titles, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
@@ -289,14 +288,14 @@ def _make_nodes(rows: Iterable[tuple[str, str, str]], source: str
     titles: list[str] = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) != 3:
-            raise FormatError(lineno, f"{source}: expected 3 columns, got {len(row)}")
+            raise FormatError(source, lineno, f"expected 3 columns, got {len(row)}")
         ext_id, kind_s, title = row
         if kind_s not in ("A", "C"):
-            raise FormatError(lineno, f"{source}: unknown node kind {kind_s!r}")
+            raise FormatError(source, lineno, f"unknown node kind {kind_s!r}")
         if not title.strip():
-            raise FormatError(lineno, f"{source}: empty title")
+            raise FormatError(source, lineno, "empty title")
         if ids.setdefault(ext_id, len(titles)) != len(titles):
-            raise FormatError(lineno, f"{source}: duplicate node id {ext_id!r}")
+            raise FormatError(source, lineno, f"duplicate node id {ext_id!r}")
         letters.append(kind_s)
         titles.append(title)
     return ids, np.frombuffer("".join(letters).encode(), np.uint8), tuple(titles)
@@ -316,15 +315,16 @@ def _make_edges(rows: Sequence[tuple[str, ...]], ids: dict[str, NodeId], kinds: 
         src_s, dst_s, kind_s = rows[i]
         if rule == _WRONG_KINDS:
             got = f"{chr(kinds[pairs[i, 0]])}->{chr(kinds[pairs[i, 1]])}"
-            raise KindMismatch(i + 1, f"{source}: {kind_s} needs {kind_s[0]}->{kind_s[1]}, got {got}")
+            raise KindMismatch(source, i + 1, "edge kind contradicts endpoint kinds "
+                                              f"({kind_s} needs {kind_s[0]}->{kind_s[1]}, got {got})")
         if rule == _SELF_LOOP:
-            raise FormatError(i + 1, f"{source}: self-loop on node {src_s!r}")
-        raise FormatError(i + 1, f"{source}: unknown node id {(dst_s if pairs[i, 0] >= 0 else src_s)!r}")
+            raise FormatError(source, i + 1, f"self-loop on node {src_s!r}")
+        raise FormatError(source, i + 1, f"unknown node id {(dst_s if pairs[i, 0] >= 0 else src_s)!r}")
     if parsed < len(rows):
         row = rows[parsed]
         if len(row) != 3:
-            raise FormatError(parsed + 1, f"{source}: expected 3 columns, got {len(row)}")
-        raise FormatError(parsed + 1, f"{source}: unknown edge kind {row[2]!r}")
+            raise FormatError(source, parsed + 1, f"expected 3 columns, got {len(row)}")
+        raise FormatError(source, parsed + 1, f"unknown edge kind {row[2]!r}")
     return {kind: pairs[kind_column == kind.value.encode()] for kind in EdgeKind}
 
 

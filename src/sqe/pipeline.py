@@ -47,7 +47,7 @@ from .search_engine import (
     prf_expand,
     search,
 )
-from .text import open_text, tokenize
+from .text import lines, tokenize
 
 DEFAULT_PLAN = (
     ("eq1", MotifKind.TRIANGULAR),
@@ -69,6 +69,7 @@ class Rule(NamedTuple):  # a value rule that config fields and command-line flag
 POSITIVE_INT = Rule(int, lambda v: v >= 1, "an integer >= 1")
 MU = Rule(float, lambda v: 0 < v <= MAX_MU, f"a number > 0 and <= {MAX_MU:g}")
 OPEN_UNIT = Rule(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
+_SWITCH = dict.fromkeys(("on", "true", "1", "yes"), True) | dict.fromkeys(("off", "false", "0", "no"), False)
 
 
 @dataclass
@@ -111,19 +112,20 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         """Flat ``key=value`` text; '#' starts a comment.  Each key is a field
-        name, less a ``_path`` suffix; its value converts by the type of the
-        field's default (``str`` for a path), but for ``plan``, ``cutoffs``
-        and ``prf``, which have their own syntax."""
+        name, less a ``_path`` suffix, given once; its value converts by the
+        type of the field's default (``str`` for a path), but for ``plan``,
+        ``cutoffs`` and ``prf``, which have their own syntax."""
         values: dict[str, str] = {}
-        with open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise FormatError(lineno, f"{path}: expected key=value, got {line!r}")
-                key, value = (s.strip() for s in line.split("=", 1))
-                values[key] = value
+        for lineno, raw in lines(path):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(path, lineno, f"expected key=value, got {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key in values:
+                raise FormatError(path, lineno, f"duplicate config key {key!r}")
+            values[key] = value
         kwargs: dict = {}
         for f in fields(cls):
             text = values.pop(f.name.removesuffix("_path"), None)
@@ -133,16 +135,18 @@ class PipelineConfig:
                 pairs = [item.split(":", 1) for item in text.split(",")]
                 bad = [pair[0] for pair in pairs if len(pair) == 1]
                 if bad:
-                    raise FormatError(None, f"{path}: plan entry {bad[0]!r} is not label:kind")
+                    raise FormatError(path, None, f"plan entry {bad[0]!r} is not label:kind")
                 kwargs["plan"] = tuple((l.strip(), MotifKind(k.strip().lower())) for l, k in pairs)
             elif f.name == "cutoffs":  # an empty value is no cutoffs, for a one-entry plan
                 kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
             elif f.name == "prf":
-                kwargs["prf"] = text.lower() in ("on", "true", "1", "yes")
+                if text.lower() not in _SWITCH:
+                    raise ValueError(f"prf must be one of {'/'.join(_SWITCH)}, got {text!r}")
+                kwargs["prf"] = _SWITCH[text.lower()]
             else:
                 kwargs[f.name] = text if f.default is None else type(f.default)(text)
         if values:
-            raise FormatError(None, f"{path}: unknown config keys {sorted(values)}")
+            raise FormatError(path, None, f"unknown config keys {sorted(values)}")
         return cls(**kwargs)
 
 
@@ -159,24 +163,20 @@ def load_topics(path: str) -> list[InputRequest]:
     """``<qid>\\t<keyword text>`` per line; an id fits a run line and may not repeat,
     and the text holds a token."""
     topics: dict[str, InputRequest] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise FormatError(lineno, f"{path}: expected <qid>\\t<text>")
-            qid, text = line.split("\t", 1)
-            qid = qid.strip()
-            if not is_run_id(qid):
-                raise FormatError(lineno, f"{path}: request id {qid!r} is empty or holds whitespace")
-            if not text.strip():
-                raise FormatError(lineno, f"{path}: empty request text")
-            if not tokenize(text):
-                raise FormatError(lineno, f"{path}: request text {text!r} has no token")
-            if qid in topics:
-                raise FormatError(lineno, f"{path}: duplicate request id {qid!r}")
-            topics[qid] = InputRequest(qid, text)
+    for lineno, line in lines(path):
+        if "\t" not in line:
+            raise FormatError(path, lineno, "expected <qid>\\t<text>")
+        qid, text = line.split("\t", 1)
+        qid = qid.strip()
+        if not is_run_id(qid):
+            raise FormatError(path, lineno, f"request id {qid!r} is empty or holds whitespace")
+        if not text.strip():
+            raise FormatError(path, lineno, "empty request text")
+        if not tokenize(text):
+            raise FormatError(path, lineno, f"request text {text!r} has no token")
+        if qid in topics:
+            raise FormatError(path, lineno, f"duplicate request id {qid!r}")
+        topics[qid] = InputRequest(qid, text)
     return list(topics.values())
 
 

@@ -6,6 +6,7 @@ takes a normalized weighted sum, ``#N(tok tok)`` is an ordered window
 with at most N-1 positions between consecutive tokens (``#1`` is exact
 phrase matching), and a bare token matches a single term.  Trees render
 to text and parse back; render and parse are inverse up to whitespace.
+Parsed text nests operators at most ``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from typing import Sequence, Union
 from .errors import EmptyInput, ParseError
 from .kb_graph import KBGraph
 from .motif_expander import QueryGraph
-from .text import normalize_title, tokenize
+from .text import TOKEN, normalize_title, tokenize
 
 QueryNode = Union["Term", "Window", "Combine", "Weight"]
 
 # The largest window size.  Search subtracts it from int64 token positions.
 MAX_WINDOW = 2**62
+# The deepest operator nesting that parses.  Parsing, rendering and scoring
+# recurse a few frames per level, well within Python's default limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,7 @@ class Term:
     token: str
 
     def __post_init__(self):
-        if not self.token or tokenize(self.token) != [self.token]:
+        if not TOKEN.fullmatch(self.token):
             raise ValueError(f"term token must be a single normalized token: {self.token!r}")
 
 
@@ -197,23 +201,25 @@ class _Parser:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def parse_node(self) -> QueryNode:
+    def parse_node(self, depth: int = 0) -> QueryNode:
+        """The node at ``pos``, inside ``depth`` operators."""
         self.skip_ws()
         if self.pos >= len(self.text):
             raise self.error("a query node")
         if self.text[self.pos] == "#":
-            return self.parse_operator()
+            if depth == MAX_DEPTH:
+                raise self.error(f"operators nested at most {MAX_DEPTH} deep")
+            return self.parse_operator(depth + 1)
         m = _BARE_TOKEN.match(self.text, self.pos)
         if not m:
             raise self.error("a term token")
         raw = m.group()
-        toks = tokenize(raw)
-        if len(toks) != 1 or toks[0] != raw.lower():
+        if not TOKEN.fullmatch(raw.lower()):
             raise self.error(f"a plain alphanumeric token (got {raw!r})")
         self.pos = m.end()
-        return Term(toks[0])
+        return Term(raw.lower())
 
-    def parse_operator(self) -> QueryNode:
+    def parse_operator(self, depth: int) -> QueryNode:
         self.eat("#", "'#'")
         m = _WINDOW_SIZE.match(self.text, self.pos)
         if m and self.text[m.end() : m.end() + 1] == "(":
@@ -225,10 +231,10 @@ class _Parser:
             return self.parse_window(int(digits))
         if self.text.startswith("combine", self.pos):
             self.pos += len("combine")
-            return self.parse_combine()
+            return self.parse_combine(depth)
         if self.text.startswith("weight", self.pos):
             self.pos += len("weight")
-            return self.parse_weight()
+            return self.parse_weight(depth)
         raise self.error("'combine', 'weight' or a window size")
 
     def parse_window(self, n: int) -> Window:
@@ -253,7 +259,7 @@ class _Parser:
             raise ParseError(start, "a window size >= 1")
         return Window(n, toks, display=display)
 
-    def parse_combine(self) -> Combine:
+    def parse_combine(self, depth: int) -> Combine:
         self.eat("(", "'(' after #combine")
         children = []
         while True:
@@ -261,12 +267,12 @@ class _Parser:
             if self.pos < len(self.text) and self.text[self.pos] == ")":
                 self.pos += 1
                 break
-            children.append(self.parse_node())
+            children.append(self.parse_node(depth))
         if not children:
             raise self.error("at least one child in #combine")
         return Combine(tuple(children))
 
-    def parse_weight(self) -> Weight:
+    def parse_weight(self, depth: int) -> Weight:
         self.eat("(", "'(' after #weight")
         entries = []
         while True:
@@ -281,7 +287,7 @@ class _Parser:
             if not 0 < weight < math.inf:
                 raise self.error("a finite, strictly positive weight")
             self.pos = m.end()
-            entries.append((weight, self.parse_node()))
+            entries.append((weight, self.parse_node(depth)))
         if not entries:
             raise self.error("at least one (weight, node) entry in #weight")
         return Weight(tuple(entries))

@@ -3,9 +3,11 @@
 Documents are token lists over a shared tokenizer.  Every query node
 evaluates to a log-belief per document: terms and ordered windows use
 Dirichlet-smoothed language models (collection frequency floored at 0.5
-when a pattern never occurs, so beliefs stay finite), ``#combine``
-averages and ``#weight`` takes a weight-normalized sum.  Scoring is
-exhaustive over the collection, which keeps the ranking contract exact.
+when a pattern never occurs, so beliefs stay finite while
+``mu * cf / |C|`` does not underflow to 0; below that a document without
+the pattern scores -inf), ``#combine`` averages and ``#weight`` takes a
+weight-normalized sum.  Scoring is exhaustive over the collection, which
+keeps the ranking contract exact.
 
 Indexes are immutable after build.  Work shared between searches lives
 in memos that belong to the caller, never to ``Index`` or to this
@@ -38,7 +40,7 @@ import numpy as np
 from .archive import ArchiveFormat
 from .errors import DuplicateDocId, EmptyCollection, FormatError
 from .query_lang import Combine, QueryNode, Term, Weight, Window
-from .text import open_text, tokenize
+from .text import lines, open_text, tokenize
 
 DEFAULT_MU = 2500.0
 # The largest Dirichlet mu accepted.  mu * cf / |C| is at most mu, so up to
@@ -195,21 +197,18 @@ def load_index(path: str) -> Index:
 def read_documents(path: str) -> Iterable[Document]:
     """JSON-lines: one object per line with fields ``id`` and ``text``."""
     seen: set[str] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id, text = str(obj["id"]), obj["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(lineno, f"{path}: bad document line ({exc})") from None
-            if not is_run_id(doc_id):
-                raise FormatError(lineno, f"{path}: document id {doc_id!r} is empty or holds whitespace")
-            if doc_id in seen:
-                raise FormatError(lineno, f"{path}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            yield Document.from_text(doc_id, str(text))
+    for lineno, line in lines(path):
+        try:
+            obj = json.loads(line)
+            doc_id, text = str(obj["id"]), str(obj["text"])
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:  # the last: too deep
+            raise FormatError(path, lineno, f"bad document line ({exc})") from None
+        if not is_run_id(doc_id):
+            raise FormatError(path, lineno, f"document id {doc_id!r} is empty or holds whitespace")
+        if doc_id in seen:
+            raise FormatError(path, lineno, f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        yield Document.from_text(doc_id, text)
 
 
 def _window_matches(idx: Index, n: int, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -384,20 +383,23 @@ def prf_expand(
 
     Term weights are w(t) = sum over feedback docs of P(t|d) times the
     softmax-normalized document score.  Stopwords and the query's own
-    tokens are dropped; the top ``fb_terms`` remainder re-weights the
-    original query as (orig_weight, q) + (1 - orig_weight, feedback).
-    With no retrievable documents or fb_terms <= 0 the query is returned
-    unchanged.  ``leaves`` scores the feedback ranking, as in ``search``.
+    tokens are dropped, and so is a term whose weight underflows to 0; the
+    top ``fb_terms`` remainder re-weights the original query as
+    (orig_weight, q) + (1 - orig_weight, feedback).
+    With no retrievable documents, a best feedback score of -inf (see the
+    module docstring) or fb_terms <= 0 the query is returned unchanged.
+    ``leaves`` scores the feedback ranking, as in ``search``.
     """
     if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
         return q
     top, scores = _top(idx, q, fb_docs, mu, leaves)
+    if scores[0] == -math.inf:  # every score is -inf: the softmax below would be nan
+        return q
     soft = np.exp(scores - scores.max())
     soft /= soft.sum()
 
     excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
     weights = np.zeros(len(idx.vocab))
-    seen = np.zeros(len(idx.vocab), dtype=bool)
     for rank, ordinal in enumerate(top.tolist()):
         dlen = int(idx.doc_lengths[ordinal])
         if not dlen:
@@ -405,12 +407,11 @@ def prf_expand(
         start = idx._doc_starts[ordinal]
         terms, tf = np.unique(idx.tokens[start : start + dlen], return_counts=True)
         weights[terms] += soft[rank] * tf / dlen
-        seen[terms] = True
     for tok in excluded:
         t = idx._term_ids.get(tok)
         if t is not None:
-            seen[t] = False
-    candidates = np.flatnonzero(seen).tolist()
+            weights[t] = 0.0
+    candidates = np.flatnonzero(weights).tolist()  # a share that underflows to 0 adds no term
     if not candidates:
         return q
     best = sorted(
@@ -445,25 +446,22 @@ def read_trec_run(path: str) -> list[RankedList]:
     """
     per_qid: dict[str, list[tuple[int, str, float]]] = {}  # in order of first appearance
     heads: dict[str, tuple[int, str]] = {}  # each request's first line and tag
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(lineno, f"{path}: expected 6 fields, got {len(parts)}")
-            qid, _q0, doc_id, rank, score, tag = parts
-            try:
-                entry = (int(rank), doc_id, float(score))
-            except ValueError as exc:
-                raise FormatError(lineno, f"{path}: {exc}") from None
-            per_qid.setdefault(qid, []).append(entry)
-            heads.setdefault(qid, (lineno, tag))
+    for lineno, line in lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError(path, lineno, f"expected 6 fields, got {len(parts)}")
+        qid, _q0, doc_id, rank, score, tag = parts
+        try:
+            entry = (int(rank), doc_id, float(score))
+        except ValueError as exc:
+            raise FormatError(path, lineno, str(exc)) from None
+        per_qid.setdefault(qid, []).append(entry)
+        heads.setdefault(qid, (lineno, tag))
     runs = []
     for qid, rows in per_qid.items():
         lineno, tag = heads[qid]
         try:
             runs.append(RankedList(qid, [(d, s) for _r, d, s in sorted(rows)], tag))
         except ValueError as exc:  # a repeated doc id, or a score above the one ranked before
-            raise FormatError(lineno, f"{path}: request {qid!r}: {exc}") from None
+            raise FormatError(path, lineno, f"request {qid!r}: {exc}") from None
     return runs

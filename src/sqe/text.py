@@ -1,8 +1,9 @@
 """Text files, tokenization and title normalization.
 
-Every component that compares text to text goes through ``tokenize`` and
-``normalize_title``, so entity phrases found in a request stay searchable
-in the document index.
+Every input file is read through ``open_text``, most line by line through
+``lines``.  Every component that compares text to text goes through
+``tokenize`` and ``normalize_title``, so entity phrases found in a request
+stay searchable in the document index.
 """
 
 from __future__ import annotations
@@ -10,16 +11,17 @@ from __future__ import annotations
 import contextlib
 import re
 from pathlib import Path
+from typing import Iterator
 
 from .errors import FormatError
 
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+TOKEN = re.compile(r"[0-9a-z]+")  # one token, as ``tokenize`` finds it
 _WHITESPACE = re.compile(r"\s+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on any non-alphanumeric run, drop empty tokens."""
-    return [t for t in _NON_ALNUM.split(text.lower()) if t]
+    """The runs of ASCII letters and digits in the lowercased text."""
+    return TOKEN.findall(text.lower())
 
 
 def normalize_title(title: str) -> str:
@@ -46,5 +48,13 @@ def open_text(path: str):
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             reason = f"not UTF-8 ({exc.reason}, byte 0x{raw[exc.start]:02x})"
-            raise FormatError(raw.count(b"\n", 0, exc.start) + 1, f"{path}: {reason}") from None
+            raise FormatError(path, raw.count(b"\n", 0, exc.start) + 1, reason) from None
         raise
+
+
+def lines(path: str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of an input file, less its newline, with its number from 1."""
+    with open_text(path) as file:
+        for lineno, line in enumerate(file, start=1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")

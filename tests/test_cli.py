@@ -269,6 +269,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
         cfg.write_text(text)
         err = exits_2("run", "--kb", junk, "--index", junk, "--topics", qrels, "--config", cfg)
         assert err.startswith(f"sqe: error: {cfg}: ")
+    cfg.write_text("mu = 3\nprf = on\nmu = 4\n")  # a key given twice, at its second line
+    err = exits_2("run", "--kb", junk, "--index", junk, "--topics", qrels, "--config", cfg)
+    assert err == f"sqe: error: line 3: {cfg}: duplicate config key 'mu'\n"
 
     # a path the file system cannot encode
     for argv in (["analyze-cycles", "--kb", "\ud800", "--seeds", "x"],
@@ -435,7 +438,7 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
 @pytest.mark.parametrize("config", [
     "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
     "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n", "tag =\n", "tag = a b\n",
-    "fb_docs = -3\nprf = on\n", "fb_terms = 0\nprf = on\n",
+    "fb_docs = -3\nprf = on\n", "fb_terms = 0\nprf = on\n", "prf = banana\n",
 ])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"
@@ -447,6 +450,19 @@ def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sqe: error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_prf_with_an_underflowing_mu_keeps_the_query(graffiti_index_file, tmp_path, capsys):
+    """At mu = 5e-324 every document scores -inf under an unseen term, so PRF has no feedback."""
+    runs = {}
+    for flags in ([], ["--prf"]):
+        out = tmp_path / f"run{len(flags)}.trec"
+        assert main(["search", "--index", graffiti_index_file, "--query", "#combine( zzz )",
+                     "--mu", "5e-324", "--out", str(out), *flags]) == 0
+        runs[len(flags)] = out.read_text()
+    assert runs[0] == runs[1] and "-inf" in runs[0]
+    assert capsys.readouterr().err == ""
 
 
 def test_largest_accepted_mu_scores_finite(graffiti_index_file, tmp_path, capsys):
@@ -602,6 +618,8 @@ _FILE = (_LINES.map(lambda lines: "\n".join(lines).encode("utf-8"))
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(sorted(FILE_INPUTS)), content=_FILE)
+@example(case="index-docs", content=b'{"id": "a", "text": ' + b"[" * 5000 + b"]" * 5000 + b"}\n")
+@example(case="search-queries", content=b"#combine( " * 1200 + b"banksy" + b" )" * 1200)
 def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, graffiti_index_file,
                                          capsys):
     """Any bytes in any input file end in exit 0, 1 or 2, never in a traceback.
@@ -751,6 +769,7 @@ INPUT_FILES = {  # besides "@nodes", "@edges", "@kb" and "@index", written by fi
     "@run": "1 Q0 doc01 1 1.000000 x\n1 Q0 doc09 2 0.500000 x\n",
     "@qrels": "1 0 doc01 1\n2 0 doc02 1\n",
     "@config": "plan = one:both, two:square\ncutoffs = 2\ntotal = 20\nprf = on\n",
+    "@tiny-mu-config": "mu = 5e-324\nprf = on\n",  # mu * cf / |C| underflows to 0
 }
 OUTPUT_FLAGS = ("--out", "--report")
 RUN_WRITERS = ("search", "run", "merge")
@@ -775,6 +794,8 @@ _CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
 @example(call=("search", [("--query", "#99999999999999999999999(banksy street)")]))
 @example(call=("search", [("--query", "#" + "9" * 400 + "(banksy street)")]))
 @example(call=("search", [("--query", "#weight( " + "1" * 310 + " banksy )")]))
+@example(call=("search", [("--query", "#combine( " * 1200 + "banksy" + " )" * 1200)]))
+@example(call=("run", [("--config", "@tiny-mu-config")]))  # PRF over -inf feedback scores
 @example(call=("search", [("--queries", "@bad-ids")]))
 @example(call=("search", [("--queries", "@repeated-ids")]))
 @example(call=("run", [("--topics", "@bad-ids")]))

@@ -3,11 +3,13 @@ import math
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from sqe.errors import FormatError, LengthMismatch, TooFewPairs, UnknownQuery
 from sqe.evaluation import (
     DEFAULT_KS,
     Qrels,
+    _beta_cont_frac,
     evaluate,
     paired_t_test,
     precision_at_k,
@@ -193,3 +195,47 @@ def test_p_values_against_reference_table():
             assert student_t_sf2(t, df) == pytest.approx(ref, abs=1e-3)
             assert student_t_sf2(t, df) == pytest.approx(ref, abs=1e-12)
             assert student_t_sf2(-t, df) == pytest.approx(ref, abs=1e-12)
+
+
+def beta_cont_frac_reference(x: float, a: float, b: float) -> float:
+    """The continued fraction with both Lentz half-steps and each clamp written out."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return h
+
+
+@settings(max_examples=2000)
+@given(x=st.floats(0.0, 1.0), a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3))
+@example(x=1.0, a=1.0, b=1.0)  # 1 - (a + b) x / (a + 1) is 0: the first clamp holds
+@example(x=0.5, a=0.5, b=0.5)
+def test_beta_cont_frac_matches_reference(x, a, b):
+    assert _beta_cont_frac(x, a, b) == beta_cont_frac_reference(x, a, b)

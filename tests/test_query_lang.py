@@ -8,6 +8,7 @@ from sqe.errors import EmptyInput, ParseError
 from sqe.kb_graph import build_graph
 from sqe.motif_expander import MotifKind, QueryGraph, expand
 from sqe.query_lang import (
+    MAX_DEPTH,
     MAX_WINDOW,
     Combine,
     Term,
@@ -204,3 +205,11 @@ def test_nodes_reject_numbers_that_do_not_fit():
     for w in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="weights must be finite"):
             Weight(((w, Term("a")),))
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])
+def test_parse_rejects_operators_nested_past_the_bound(depth):
+    text = "#combine( " * (depth - 1) + "#1(banksy)" + " )" * (depth - 1)
+    with pytest.raises(ParseError, match=f"operators nested at most {MAX_DEPTH} deep") as exc:
+        parse(text)
+    assert exc.value.position == len("#combine( ") * MAX_DEPTH  # the '#' that goes deeper

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sqe.errors import DuplicateDocId, EmptyCollection, FormatError
-from sqe.query_lang import Combine, Term, Weight, Window, parse
+from sqe.query_lang import MAX_DEPTH, Combine, Term, Weight, Window, parse, render
 from sqe.search_engine import (
     DEFAULT_MU,
     Document,
@@ -272,6 +272,17 @@ def test_prf_returns_query_unchanged_on_edge_cases():
     assert prf_expand(idx, q, fb_terms=0) is q
     assert prf_expand(idx, q, fb_docs=0) is q
     assert prf_expand(build_index([]), q) is q
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_prf_with_an_underflowing_smoothing_term():
+    """At mu = 5e-324, mu * cf / |C| is 0, so a document without a query term scores -inf."""
+    idx = build_index(docs_from(PRF_FIXTURE))
+    q = Term("zzz")
+    assert prf_expand(idx, q, mu=5e-324) is q  # every feedback score is -inf
+    # d1 and d3 hold banana; the other feedback documents' softmax shares are 0
+    got = prf_expand(idx, Term("banana"), fb_docs=5, fb_terms=10, mu=5e-324)
+    assert {t.token for _w, t in got.entries[1][1].entries} == {"q", "apple"}
 
 
 def test_prf_hand_computed_weights():
@@ -596,3 +607,20 @@ def test_shared_window_match_memo_matches_fresh_searches(docs, qs, k):
 
 def test_default_stopwords_read_once():
     assert default_stopwords() is default_stopwords()
+
+
+def test_query_at_the_nesting_bound_parses_renders_and_scores():
+    text = "#1(banksy street)"  # MAX_DEPTH operators, each inside the one before
+    for level in range(MAX_DEPTH - 1):
+        text = f"#combine( {text} art )" if level % 2 else f"#weight( 2.0 {text} 1.0 stencil )"
+    tree = parse(text)
+    assert render(tree) == text
+    docs = [("d1", "banksy street art mural"), ("d2", "stencil art"), ("d3", "banksy on the street")]
+    idx = build_index(docs_from(docs))
+    raw = [(d, Document.from_text(d, t).tokens) for d, t in docs]
+    expanded = prf_expand(idx, tree, fb_docs=2, fb_terms=2)
+    assert expanded.entries[0][1] is tree  # PRF nests the tree one level deeper
+    for q in (tree, expanded):
+        got, want = search(idx, q, 3).entries, naive_ranking(raw, q, 3)
+        assert [d for d, _s in got] == [d for d, _s in want]
+        assert [s for _d, s in got] == pytest.approx([s for _d, s in want], rel=1e-12)
