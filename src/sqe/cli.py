@@ -12,6 +12,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, pipeline
 from .cycle_analysis import MAX_CYCLE_LEN, MIN_CYCLE_LEN, cycle_length_stats, enumerate_cycles
 from .entity_linker import InputRequest
@@ -385,7 +387,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(divide="ignore"):  # log(0) is a -inf score (see search_engine), not a warning
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (SqeError, OSError) as exc:

@@ -43,7 +43,7 @@ class EntityLinker:
         stop = stop_titles or set()
         phrases: dict[tuple[str, ...], NodeId] = {}
         for a in g.article_ids():
-            if stop and normalize_title(g.title(a)) in stop:
+            if stop and g.normalized_title(a) in stop:
                 continue
             toks = tuple(tokenize(g.title(a)))
             if not 1 <= len(toks) <= max_ngram:

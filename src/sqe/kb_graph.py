@@ -12,12 +12,12 @@ neighbors over every edge kind and both directions, sorted; how many
 stored edges join ``i`` to each; and an out flag, true where an edge
 leaves ``i`` toward that neighbor.  The endpoint kinds fix an edge's
 kind, so out flags and node kinds give every directed, per-kind row.
-Nodes are columns: node ``i``'s title and external id are entry ``i`` of
-two tuples, and one bool per node, true for a category, is the only store
-of its kind.  A :class:`KBGraph` is immutable once built and holds no
-:class:`KBNode`; it builds one on read.  Parallel edges between the
-same ordered pair are deduplicated on load so that motif counting is
-well-defined.
+Nodes are columns: node ``i``'s title, normalized title and external id
+are entry ``i`` of three tuples, and one bool per node, true for a
+category, is the only store of its kind.  A :class:`KBGraph` is
+immutable once built and holds no :class:`KBNode`; it builds one on
+read.  Parallel edges between the same ordered pair are deduplicated on
+load so that motif counting is well-defined.
 """
 
 from __future__ import annotations
@@ -97,11 +97,14 @@ class ValidationReport:
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class KBGraph:
     """Immutable typed graph: node ``i`` is entry ``i`` of the node columns
-    ``_titles``, ``_ext_ids`` and ``_is_category``, and its sorted row of the
-    link table ``_links``, ``(indptr, neighbors, edge counts, out flags)``.
+    ``_titles``, ``_normalized``, ``_ext_ids`` and ``_is_category``, and its
+    sorted row of the link table ``_links``, ``(indptr, neighbors, edge
+    counts, out flags)``.  ``_normalized`` holds the strings that key the
+    title index, so it costs one pointer per node; snapshots do not store it.
     Construct through :func:`load_graph`, :func:`build_graph` or :func:`load_snapshot`, not directly."""
 
     _titles: tuple[str, ...]
+    _normalized: tuple[str, ...]  # normalize_title of each title
     _ext_ids: tuple[str, ...]  # ids used in the source files, kept for round-tripping
     _title_index: dict[tuple[str, str], NodeId]  # (kind letter, normalized title) -> node
     _links: tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]
@@ -123,6 +126,10 @@ class KBGraph:
 
     def title(self, i: NodeId) -> str:
         return self._titles[i]
+
+    def normalized_title(self, i: NodeId) -> str:
+        """``normalize_title(self.title(i))``, stored, so reading it costs no regex."""
+        return self._normalized[i]
 
     def is_article(self, i: NodeId) -> bool:
         return not self._is_category[i]
@@ -248,13 +255,14 @@ def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
     """The graph over :func:`_make_nodes` columns and each edge kind's ``(src, dst)`` id pairs.
     Each title is normalized here, once; a node that repeats an earlier
     normalized title of its kind raises with its line in ``source``."""
+    normalized = tuple(map(normalize_title, titles))
     title_index: dict[tuple[str, str], NodeId] = {}
-    for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), map(normalize_title, titles))):
+    for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), normalized)):
         if title_index.setdefault(key, i) != i:
             raise FormatError(source, i + 1, f"duplicate normalized title {key[1]!r} for kind {key[0]}")
     edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
     is_category = kinds == ord(NodeKind.CATEGORY.value)
-    return KBGraph(titles, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
+    return KBGraph(titles, normalized, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
 
 
 def _assemble(nodes: Sequence[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]) -> KBGraph:

@@ -14,10 +14,16 @@ Work is shared through memos that the functions here create and drop:
   motif once (a BOTH entry sums the TRIANGULAR and SQUARE graphs), and
   ``leaves`` scores each term or window once, holding its dense score
   vector over the collection.
-* per batch, in ``run_batch``: ``matches`` runs each multi-token
-  window's match dynamic program once for all the batch's requests,
-  holding only the (document ordinal, count) pairs whose count is above
-  0; each request's ``leaves`` rebuilds its dense vectors from them.
+* per batch, in ``run_batch``, two that depend on the index or the
+  graph alone, so every request of the batch shares them:
+
+  * ``matches`` runs each multi-token window's match dynamic program
+    once, holding only the (document ordinal, count) pairs whose count
+    is above 0; each request's ``leaves`` rebuilds its dense vectors
+    from them.
+  * ``phrases`` builds each feature article's query phrase (its
+    normalized title, tokenized, as an exact-phrase window) once, keyed
+    by node id, for every plan entry of every request.
 
 None of them is kept on the index, the graph or this module.
 """
@@ -34,7 +40,7 @@ from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
 from .motif_expander import MotifKind, QueryGraph, expand
-from .query_lang import build_expanded_query
+from .query_lang import Phrases, build_expanded_query
 from .search_engine import (
     DEFAULT_MU,
     MAX_MU,
@@ -223,11 +229,13 @@ def run_request_detailed(
     stopwords: frozenset[str] | None,
     *,
     matches: WindowMatches,
+    phrases: Phrases,
 ) -> tuple[RankedList, RequestReport]:
     """One request through link, per-plan expansion, search and merge.
 
-    ``run_batch`` builds ``linker``, ``stopwords`` and the window
-    ``matches`` memo once and passes them to each of its requests.
+    ``run_batch`` builds ``linker``, ``stopwords``, the window ``matches``
+    memo and the feature ``phrases`` memo once and passes them to each of
+    its requests.
     """
     report = RequestReport(req.request_id)
     t0 = time.perf_counter()
@@ -262,7 +270,7 @@ def run_request_detailed(
             report.timings_ms[f"expand_{label}"] = (time.perf_counter() - t0) * 1000
 
         t0 = time.perf_counter()
-        query = build_expanded_query(input_tokens, entity_titles, qg, g).root
+        query = build_expanded_query(input_tokens, entity_titles, qg, g, phrases).root
         if cfg.prf:
             query = prf_expand(
                 idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves
@@ -292,15 +300,17 @@ def run_batch(
     """All topics, one after another; outputs are in topic order.
 
     The linker and the stopwords that ``cfg`` names are built once, and the
-    requests share one window ``matches`` memo, dropped on return.  ``jobs``
-    must be 1.
+    requests share one window ``matches`` memo and one feature ``phrases``
+    memo, dropped on return.  ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError(f"requests run in order, so jobs must be 1, got {jobs}")
     linker = make_linker(g, cfg.max_ngram, cfg.stop_titles_path)
     stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
     matches: WindowMatches = {}
-    pairs = [run_request_detailed(g, idx, r, cfg, linker, stopwords, matches=matches) for r in topics]
+    phrases: Phrases = {}
+    pairs = [run_request_detailed(g, idx, r, cfg, linker, stopwords, matches=matches, phrases=phrases)
+             for r in topics]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import EmptyInput, ParseError
-from .kb_graph import KBGraph
+from .kb_graph import KBGraph, NodeId
 from .motif_expander import QueryGraph
 from .text import TOKEN, normalize_title, tokenize
 
@@ -117,11 +117,16 @@ def _title_window(norm: str, n: int = 1) -> Window | None:
     return Window(n, tuple(toks), display=norm) if toks else None
 
 
+# node id -> the phrase of its normalized title, None for a title with no tokens
+Phrases = dict[NodeId, Window | None]
+
+
 def build_expanded_query(
     input_tokens: Sequence[str],
     entity_titles: Sequence[str],
     qg: QueryGraph | None,
     g: KBGraph | None = None,
+    phrases: Phrases | None = None,
 ) -> ExpandedQuery:
     """Assemble input, entity and feature parts into one expanded query.
 
@@ -130,7 +135,10 @@ def build_expanded_query(
     a feature whose title has no tokens is left out.  An entity title with
     no tokens raises :class:`EmptyInput` (the linker never links one).
     ``g`` resolves the query graph's node ids to titles and is required
-    only when ``qg`` is given.
+    only when ``qg`` is given.  ``phrases`` memoizes each feature's phrase
+    by node id and is filled on first use; it depends on ``g`` alone, so
+    a caller may share one across queries over that graph.  With none
+    given, a fresh one serves this call.
     """
     tokens = [t for raw in input_tokens for t in tokenize(raw)]
     if not tokens:
@@ -148,13 +156,16 @@ def build_expanded_query(
     if qg is not None and qg.expansion:
         if g is None:
             raise ValueError("a graph is needed to resolve expansion titles")
-        entries = sorted(
-            ((w, normalize_title(g.title(a))) for a, w in qg.expansion.items()),
-            key=lambda e: (-e[0], e[1]),
-        )
-        windows = ((w, _title_window(t)) for w, t in entries)
-        features = tuple((w, win) for w, win in windows if win is not None)
-        feature_part = Weight(features) if features else None
+        if phrases is None:
+            phrases = {}
+        weights = qg.expansion
+        features = []
+        for a in sorted(weights, key=lambda a: (-weights[a], g.normalized_title(a))):
+            if a not in phrases:
+                phrases[a] = _title_window(g.normalized_title(a))
+            if phrases[a] is not None:
+                features.append((weights[a], phrases[a]))
+        feature_part = Weight(tuple(features)) if features else None
 
     return ExpandedQuery(input_part, entity_part, feature_part)
 

@@ -323,7 +323,10 @@ def _top(
         raise EmptyCollection("collection has documents but no tokens; scores are undefined")
     scores = _score_vector(idx, q, mu, Leaves({}) if leaves is None else leaves)
     by_id = idx._by_id  # a stable sort keeps doc id order among equal scores
-    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    neg = -scores[by_id]
+    m = min(k, neg.size)  # sort only what ties or beats the m-th best, ties kept in id order
+    kept = np.flatnonzero(neg <= np.partition(neg, m - 1)[m - 1])
+    top = by_id[kept[np.argsort(neg[kept], kind="stable")[:k]]]
     return top, scores[top]
 
 

@@ -48,7 +48,9 @@ def open_text(path: str):
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             reason = f"not UTF-8 ({exc.reason}, byte 0x{raw[exc.start]:02x})"
-            raise FormatError(path, raw.count(b"\n", 0, exc.start) + 1, reason) from None
+            head = raw[: exc.start]  # "\r\n", "\r" and "\n" each end a line, as readers count them
+            breaks = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise FormatError(path, breaks + 1, reason) from None
         raise
 
 

@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +466,17 @@ def test_prf_with_an_underflowing_mu_keeps_the_query(graffiti_index_file, tmp_pa
         runs[len(flags)] = out.read_text()
     assert runs[0] == runs[1] and "-inf" in runs[0]
     assert capsys.readouterr().err == ""
+
+
+def test_search_with_an_underflowing_mu_writes_nothing_to_stderr(graffiti_index_file):
+    """A -inf score is a result, not a numpy warning on stderr; run as its own process,
+    since pytest would catch the warning."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "sqe.cli", "search", "--index", graffiti_index_file,
+                           "--mu", "5e-324", "--query", "the"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert b"-inf" in done.stdout
 
 
 def test_largest_accepted_mu_scores_finite(graffiti_index_file, tmp_path, capsys):

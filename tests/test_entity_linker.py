@@ -3,7 +3,7 @@ import pytest
 import sqe.entity_linker
 from sqe.entity_linker import EntityLinker, InputRequest, link
 from sqe.errors import NoEntities
-from sqe.kb_graph import build_graph
+from sqe.kb_graph import KBGraph, build_graph
 from sqe.text import normalize_title
 
 
@@ -89,17 +89,24 @@ def test_stop_titles(cable_graph):
 
 
 def test_table_normalizes_titles_only_for_stop_titles(graffiti_graph, monkeypatch):
-    calls = []
+    calls, reads = [], []
+    stored = KBGraph.normalized_title
 
     def counting(title):
         calls.append(title)
         return normalize_title(title)
 
+    def counting_reads(g, i):
+        reads.append(i)
+        return stored(g, i)
+
     monkeypatch.setattr(sqe.entity_linker, "normalize_title", counting)
+    monkeypatch.setattr(KBGraph, "normalized_title", counting_reads)
     EntityLinker(graffiti_graph)
-    assert calls == []
+    assert calls == reads == []
     EntityLinker(graffiti_graph, stop_titles={"banksy"})
-    assert len(calls) == len(graffiti_graph.article_ids())
+    # the graph's stored column serves the stop-title check: no title is normalized again
+    assert calls == [] and len(reads) == len(graffiti_graph.article_ids())
 
 
 def test_spans_do_not_overlap(graffiti_graph):

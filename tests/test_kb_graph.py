@@ -339,6 +339,23 @@ def _assert_same_graph(g1, g2):
     assert g1.validate() == g2.validate()
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), n_nodes=st.integers(2, 25))
+def test_normalized_title_column_equals_normalize_title(seed, n_nodes):
+    rng = random.Random(seed)
+    nodes, edges = random_graph(rng, n_nodes)
+    # the same titles in forms that normalize alike: case, underscores, spacing
+    forms = (str.upper, lambda t: t.replace("_", "  "), lambda t: f"  {t}   x ", str)
+    nodes = [(e, k, rng.choice(forms)(t)) for e, k, t in nodes]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_tsv(Path(tmp, "n.tsv"), nodes), write_tsv(Path(tmp, "e.tsv"), edges)
+        built, loaded = build_graph(nodes, edges), load_graph(*paths)
+        save_snapshot(built, f"{tmp}/kb.npz")
+        back = load_snapshot(f"{tmp}/kb.npz")
+    for h in (built, loaded, back):
+        assert [h.normalized_title(i) for i in range(len(h))] == [normalize_title(t) for _e, _k, t in nodes]
+
+
 def test_snapshot_round_trip(tmp_path):
     nodes, edges = random_graph(random.Random(17), 80)
     nodes += [("lone-a", "A", "Lone article"), ("lone-c", "C", "Lone category")]

@@ -25,7 +25,7 @@ from sqe.pipeline import (
     run_request_detailed,
     write_report,
 )
-from sqe.query_lang import build_expanded_query
+from sqe.query_lang import build_expanded_query, phrase
 from sqe.search_engine import (
     MAX_MU,
     Document,
@@ -529,6 +529,29 @@ def test_batch_window_memo_holds_positive_multi_token_pairs(graffiti_graph, graf
     assert not any(v is memo for module in (pipeline, search_engine) for v in vars(module).values())
 
 
+def test_batch_phrase_table_is_shared_and_each_run_equals_its_request_alone(
+    graffiti_graph, graffiti_index, monkeypatch
+):
+    g, idx = graffiti_graph, graffiti_index
+    cfg = PipelineConfig(cutoffs=(3, 3), total=10)
+    seen = []
+    inner = pipeline.run_request_detailed
+
+    def spy(*args, phrases, **kwargs):
+        seen.append((phrases, len(phrases)))
+        return inner(*args, phrases=phrases, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_request_detailed", spy)
+    runs, _reports = run_batch(g, idx, BATCH_TOPICS, cfg)
+    table, size_at_start = seen[0]
+    assert size_at_start == 0 and all(t is table for t, _size in seen)
+    assert seen[-1][1] > 0  # a later request reads the phrases that earlier ones built
+    assert table == {a: phrase(g.title(a)) for a in table}  # every graffiti title has tokens
+    assert not any(v is table for module in (pipeline, search_engine) for v in vars(module).values())
+    monkeypatch.undo()
+    assert runs == [run_request(g, idx, req, cfg) for req in BATCH_TOPICS]
+
+
 def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graffiti_index, tmp_path):
     g, idx = graffiti_graph, graffiti_index
     path = tmp_path / "stop.txt"
@@ -541,7 +564,7 @@ def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graf
     for req, run in zip(topics, runs):
         assert run.entries == run_request(g, idx, req, cfg).entries
         given, _report = run_request_detailed(g, idx, req, PipelineConfig(**feedback), linker,
-                                              frozenset({"art", "street"}), matches={})
+                                              frozenset({"art", "street"}), matches={}, phrases={})
         assert given.entries == run.entries
 
 

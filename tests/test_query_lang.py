@@ -3,6 +3,7 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqe.errors import EmptyInput, ParseError
 from sqe.kb_graph import build_graph
@@ -19,6 +20,7 @@ from sqe.query_lang import (
     phrase,
     render,
 )
+from sqe.text import normalize_title
 
 from conftest import CABLE_EDGES, CABLE_NODES
 
@@ -173,6 +175,35 @@ def test_features_whose_title_has_no_tokens_are_left_out():
     assert build_expanded_query(["cable"], ["Cable_car"], only_bang, g).feature_part is None
     with pytest.raises(EmptyInput, match="'!!!' has no tokens"):
         build_expanded_query(["cable"], ["Cable_car", "!!!"], None)
+
+
+# titles with and without tokens; "(" and "!" keep a display that differs from the tokens
+_TITLES = st.text(alphabet="aB1_ !(", min_size=1, max_size=6).filter(str.strip)
+
+
+@st.composite
+def phrase_cases(draw):
+    """A graph and the expansions of a few query graphs over it."""
+    titles = draw(st.lists(_TITLES, min_size=1, max_size=10, unique_by=normalize_title))
+    # each title again as a category, differing only in case, underscores and spacing
+    nodes = [(f"a{i}", "A", t) for i, t in enumerate(titles)]
+    nodes += [(f"c{i}", "C", f" {t.swapcase().replace(' ', '_')}  ") for i, t in enumerate(titles)]
+    g = build_graph(nodes, [])
+    weights = st.dictionaries(st.integers(0, len(g) - 1), st.integers(1, 3), min_size=1)
+    return g, draw(st.lists(weights, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=phrase_cases())
+def test_shared_phrase_table_builds_the_queries_a_fresh_one_builds(case):
+    g, expansions = case
+    phrases = {}
+    # each query reads the entries that the queries before it filled, the second pass all of them
+    for weights in expansions + expansions[::-1]:
+        qg = QueryGraph(frozenset(), weights)
+        fresh = build_expanded_query(["q"], ["a"], qg, g)
+        assert build_expanded_query(["q"], ["a"], qg, g, phrases) == fresh
+    assert set(phrases) == {a for weights in expansions for a in weights}
 
 
 @pytest.mark.parametrize("text", [

@@ -16,6 +16,7 @@ from sqe.search_engine import (
     RankedList,
     _dirichlet,
     _score_vector,
+    _top,
     _window_tf,
     build_index,
     default_stopwords,
@@ -624,3 +625,31 @@ def test_query_at_the_nesting_bound_parses_renders_and_scores():
         got, want = search(idx, q, 3).entries, naive_ranking(raw, q, 3)
         assert [d for d, _s in got] == [d for d, _s in want]
         assert [s for _d, s in got] == pytest.approx([s for _d, s in want], rel=1e-12)
+
+
+# few distinct values, so ties are heavy; -inf is what an underflowing mu scores
+_SCORE_VALUES = st.sampled_from([-math.inf, -7.25, -3.5, -3.5 + 1e-12, -1.0, 0.0])
+
+
+@st.composite
+def scored_ids(draw):
+    """Distinct doc ids, in an order unlike id order, and one score per id."""
+    ids = draw(st.lists(st.text(string.ascii_lowercase + string.digits, min_size=1, max_size=3),
+                        min_size=1, max_size=30, unique=True))
+    return ids, draw(st.lists(_SCORE_VALUES, min_size=len(ids), max_size=len(ids)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_ids())
+@example(case=(["b", "a", "c"], [-math.inf, -1.0, -math.inf]))
+def test_partition_top_k_equals_full_stable_argsort(case):
+    ids, drawn = case
+    scores = np.array(drawn)
+    idx = build_index(docs_from([(d, "x") for d in ids]))
+    leaves = Leaves({})
+    leaves[(1, ("x",))] = scores  # the query's one leaf scores as drawn
+    full = idx._by_id[np.argsort(-scores[idx._by_id], kind="stable")]
+    for k in range(1, len(ids) + 2):
+        top, top_scores = _top(idx, Term("x"), k, DEFAULT_MU, leaves)
+        assert top.tolist() == full[:k].tolist()
+        assert np.array_equal(top_scores, scores[full[:k]])

@@ -66,3 +66,13 @@ def test_format_error_names_path_line_and_reason(reader, tmp_path):
     assert (err.value.path, err.value.line, err.value.reason) == (str(path), 3, reason)
     assert str(err.value) == f"line 3: {path}: {reason}"
     assert isinstance(err.value, KindMismatch) == (reader == "edges")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_undecodable_byte_is_numbered_as_readers_number_lines(newline, tmp_path):
+    path = tmp_path / "qrels.txt"
+    for bad, reason in ((b"x", "bad relevance 'x'"), (b"\xff", "not UTF-8 (invalid start byte, byte 0xff)")):
+        path.write_bytes(newline.join([b"b1 0 d1 1", b"b1 0 d2 1", b"b1 0 d3 " + bad, b""]))
+        with pytest.raises(FormatError) as err:
+            Qrels.load(str(path))
+        assert (err.value.line, err.value.reason) == (3, reason)
