@@ -22,6 +22,7 @@ from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
 from .search_engine import (
+    Leaves,
     RankedList,
     build_index,
     is_run_id,
@@ -210,10 +211,12 @@ def cmd_search(args) -> int:
     else:
         return _usage_error("provide --query or --queries")
     runs = []
+    matches = {}  # one window match memo for every query, as in a pipeline batch
     for qid, tree in queries.items():
+        leaves = Leaves(matches)  # PRF's feedback ranking and the search share the query's leaves
         if args.prf:
-            tree = prf_expand(idx, tree, mu=args.mu)
-        runs.append(search(idx, tree, args.k, qid, tag="sqe", mu=args.mu))
+            tree = prf_expand(idx, tree, mu=args.mu, leaves=leaves)
+        runs.append(search(idx, tree, args.k, qid, tag="sqe", mu=args.mu, leaves=leaves))
     with _output(args.out) as out:
         write_trec_run(runs, out)
     return 0

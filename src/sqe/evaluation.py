@@ -75,11 +75,6 @@ class EvalReport:
     ks: tuple[int, ...]
     skipped: list[str] = field(default_factory=list)  # run ids with no judgments
 
-    def to_tsv(self, label: str = "run") -> str:
-        header = "\t".join([""] + [f"P@{k}" for k in self.ks])
-        row = "\t".join([label] + [f"{self.means[k]:.4f}" for k in self.ks])
-        return header + "\n" + row + "\n"
-
 
 def evaluate(
     runs: Iterable[RankedList], qrels: Qrels, ks: Sequence[int] = DEFAULT_KS

@@ -275,12 +275,11 @@ def run_request_detailed(
             query = prf_expand(
                 idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves
             )
-        results.append(search(idx, query, k, req.request_id, label, cfg.mu, leaves))
+        results.append(search(idx, query, k, req.request_id, cfg.tag, cfg.mu, leaves))
         query_ms += (time.perf_counter() - t0) * 1000
     report.timings_ms["query"] = query_ms
 
     merged = merge_lists(results, cfg.cutoffs, cfg.total) if inputs else results[0]
-    merged.tag = cfg.tag
     return merged, report
 
 

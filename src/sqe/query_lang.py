@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import EmptyInput, ParseError
 from .kb_graph import KBGraph, NodeId
@@ -184,7 +184,7 @@ def render(q: QueryNode) -> str:
     raise TypeError(f"not a query node: {q!r}")
 
 
-_WS = re.compile(r"\s+")
+_WS = re.compile(r"\s*")
 _BARE_TOKEN = re.compile(r"[^()#\s]+")
 _NUMBER = re.compile(r"\d+(?:\.\d+)?")
 _WINDOW_SIZE = re.compile(r"[0-9]+")
@@ -199,9 +199,7 @@ class _Parser:
         return ParseError(self.pos, expected)
 
     def skip_ws(self) -> None:
-        m = _WS.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def eat(self, literal: str, expected: str) -> None:
         if not self.text.startswith(literal, self.pos):
@@ -242,10 +240,11 @@ class _Parser:
             return self.parse_window(int(digits))
         if self.text.startswith("combine", self.pos):
             self.pos += len("combine")
-            return self.parse_combine(depth)
+            return Combine(self.parse_operands("combine", "child", lambda: self.parse_node(depth)))
         if self.text.startswith("weight", self.pos):
             self.pos += len("weight")
-            return self.parse_weight(depth)
+            entries = self.parse_operands("weight", "(weight, node) entry", lambda: self.parse_entry(depth))
+            return Weight(entries)
         raise self.error("'combine', 'weight' or a window size")
 
     def parse_window(self, n: int) -> Window:
@@ -265,43 +264,35 @@ class _Parser:
         toks = tuple(tokenize(content))
         if not toks:
             raise ParseError(start, "at least one token inside the window")
-        display = _WS.sub(" ", content.strip())
+        display = " ".join(content.split())
         if n < 1:
             raise ParseError(start, "a window size >= 1")
         return Window(n, toks, display=display)
 
-    def parse_combine(self, depth: int) -> Combine:
-        self.eat("(", "'(' after #combine")
-        children = []
+    def parse_operands(self, name: str, what: str, operand: Callable[[], object]) -> tuple:
+        """The ``operand``s of ``#name`` up to its ``)``; at least one ``what``."""
+        self.eat("(", f"'(' after #{name}")
+        operands = []
         while True:
             self.skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] == ")":
                 self.pos += 1
                 break
-            children.append(self.parse_node(depth))
-        if not children:
-            raise self.error("at least one child in #combine")
-        return Combine(tuple(children))
+            operands.append(operand())
+        if not operands:
+            raise self.error(f"at least one {what} in #{name}")
+        return tuple(operands)
 
-    def parse_weight(self, depth: int) -> Weight:
-        self.eat("(", "'(' after #weight")
-        entries = []
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ")":
-                self.pos += 1
-                break
-            m = _NUMBER.match(self.text, self.pos)
-            if not m:
-                raise self.error("a weight value")
-            weight = float(m.group())
-            if not 0 < weight < math.inf:
-                raise self.error("a finite, strictly positive weight")
-            self.pos = m.end()
-            entries.append((weight, self.parse_node(depth)))
-        if not entries:
-            raise self.error("at least one (weight, node) entry in #weight")
-        return Weight(tuple(entries))
+    def parse_entry(self, depth: int) -> tuple[float, QueryNode]:
+        """One ``#weight`` entry: a weight value, then a node."""
+        m = _NUMBER.match(self.text, self.pos)
+        if not m:
+            raise self.error("a weight value")
+        weight = float(m.group())
+        if not 0 < weight < math.inf:
+            raise self.error("a finite, strictly positive weight")
+        self.pos = m.end()
+        return weight, self.parse_node(depth)
 
 
 def parse(text: str) -> QueryNode:

@@ -16,7 +16,6 @@ from typing import Iterator
 from .errors import FormatError
 
 TOKEN = re.compile(r"[0-9a-z]+")  # one token, as ``tokenize`` finds it
-_WHITESPACE = re.compile(r"\s+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -31,7 +30,7 @@ def normalize_title(title: str) -> str:
     trimmed and internal whitespace collapsed.  "Above_(artist)" and
     "above  (artist) " normalize to the same string.
     """
-    return _WHITESPACE.sub(" ", title.replace("_", " ").strip()).lower()
+    return " ".join(title.replace("_", " ").split()).lower()
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -11,12 +12,25 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from sqe import search_engine
 from sqe.cli import main, make_parser
 from sqe.errors import FormatError
 from sqe.evaluation import Qrels
 from sqe.kb_graph import EdgeKind, load_graph, load_snapshot
 from sqe.pipeline import PipelineConfig, load_topics
-from sqe.search_engine import MAX_MU, Document, build_index, read_documents, read_trec_run
+from sqe.query_lang import parse
+from sqe.search_engine import (
+    MAX_MU,
+    UNSEEN_CF,
+    Document,
+    build_index,
+    load_index,
+    prf_expand,
+    read_documents,
+    read_trec_run,
+    search,
+    write_trec_run,
+)
 
 from conftest import CABLE_EDGES, CABLE_NODES, GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 from test_pipeline import GRAFFITI_DOCS
@@ -184,9 +198,6 @@ def test_eval_default_cutoff_columns(tmp_path, capsys):
 
 def test_search_matches_library_output(graffiti_index_file, tmp_path, capsys):
     from sqe.cli import _load_index
-    from sqe.query_lang import parse
-    from sqe.search_engine import search, write_trec_run
-    import io
 
     query = "#combine( banksy #1(street art) )"
     assert main(["search", "--index", graffiti_index_file, "--query", query, "--k", "5"]) == 0
@@ -195,6 +206,46 @@ def test_search_matches_library_output(graffiti_index_file, tmp_path, capsys):
     buf = io.StringIO()
     write_trec_run([search(idx, parse(query), 5, "1", tag="sqe")], buf)
     assert cli_out == buf.getvalue()
+
+
+def test_search_builds_each_leaf_and_window_once(graffiti_index_file, tmp_path, monkeypatch,
+                                                  capsys):
+    """PRF's feedback ranking and the search share a query's leaf scores, and the queries
+    of a file share window matches; the run is the one that fresh memos give."""
+    queries = {"1": "#combine( graffiti #1(street art) banksy )",
+               "2": "#combine( #1(street art) stencil )"}
+    path = tmp_path / "queries.tsv"
+    path.write_text("".join(f"{qid}\t{text}\n" for qid, text in queries.items()))
+    idx = load_index(graffiti_index_file)
+    fresh = {}
+    for extra, texts in (([], queries), (["--prf"], {"1": queries["1"]})):
+        expected = io.StringIO()
+        trees = {qid: parse(text) for qid, text in texts.items()}
+        if extra:
+            trees = {qid: prf_expand(idx, tree) for qid, tree in trees.items()}
+        write_trec_run([search(idx, tree, 1000, qid) for qid, tree in trees.items()], expected)
+        fresh[tuple(extra)] = expected.getvalue()
+
+    calls = {"leaves": 0, "windows": 0}
+    dirichlet, window_matches = search_engine._dirichlet, search_engine._window_matches
+
+    def count_leaf(*args):
+        calls["leaves"] += 1
+        return dirichlet(*args)
+
+    def count_window(idx, n, tokens):
+        calls["windows"] += len(tokens) > 1
+        return window_matches(idx, n, tokens)
+
+    monkeypatch.setattr(search_engine, "_dirichlet", count_leaf)
+    monkeypatch.setattr(search_engine, "_window_matches", count_window)
+    assert main(["search", "--index", graffiti_index_file, "--queries", str(path)]) == 0
+    assert capsys.readouterr().out == fresh[()]
+    assert calls == {"leaves": 3 + 2, "windows": 1}  # "#1(street art)" is matched once
+    calls.update(leaves=0, windows=0)
+    assert main(["search", "--index", graffiti_index_file, "--query", queries["1"], "--prf"]) == 0
+    assert capsys.readouterr().out == fresh[("--prf",)]
+    assert calls == {"leaves": 3 + 10, "windows": 1}  # the query's 3 leaves and 10 feedback terms
 
 
 @pytest.mark.parametrize("line, fault", [
@@ -634,6 +685,8 @@ _FILE = (_LINES.map(lambda lines: "\n".join(lines).encode("utf-8"))
 @given(case=st.sampled_from(sorted(FILE_INPUTS)), content=_FILE)
 @example(case="index-docs", content=b'{"id": "a", "text": ' + b"[" * 5000 + b"]" * 5000 + b"}\n")
 @example(case="search-queries", content=b"#combine( " * 1200 + b"banksy" + b" )" * 1200)
+@example(case="eval-qrels", content=b"\r\x80")
+@example(case="eval-qrels", content=b"a\r\nb\r\xff")
 def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, graffiti_index_file,
                                          capsys):
     """Any bytes in any input file end in exit 0, 1 or 2, never in a traceback.
@@ -656,7 +709,9 @@ def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, g
     try:
         content.decode("utf-8")
     except UnicodeDecodeError as exc:  # every reader names the file and the line of the bad byte
-        line = content.count(b"\n", 0, exc.start) + 1
+        # the valid prefix's lines as open()'s universal newlines count them
+        head = io.TextIOWrapper(io.BytesIO(content[: exc.start]), encoding="utf-8", newline=None)
+        line = head.read().count("\n") + 1
         assert code == 2 and f"line {line}: {files['bad']}: not UTF-8" in err, err
 
 
@@ -802,6 +857,19 @@ _CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
                                          _VALUES), max_size=3)))
 
 
+def _mu_underflows(argv: list[str]) -> bool:
+    """Whether the mu a good call scored with makes ``mu * UNSEEN_CF / |C|`` underflow to 0
+    on its index: only then may a document without a query's pattern score -inf."""
+    args = make_parser().parse_args(argv)
+    if args.command == "search":
+        mu = args.mu
+    elif args.command == "run":
+        mu = (PipelineConfig.from_file(args.config) if args.config else PipelineConfig()).mu
+    else:  # merge scores total - rank + 1
+        return False
+    return mu * UNSEEN_CF / load_index(args.index).collection_length == 0
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(call=_CALLS)
@@ -819,10 +887,12 @@ _CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
 @example(call=("merge", [("--total", "9" * 400)]))
 @example(call=("analyze-cycles", [("--kb", "\ud800")]))  # a path the file system cannot encode
 @example(call=("run", [("--out", "\ud800")]))
+@example(call=("search", [("--mu", "5e-324")]))  # -inf for the documents without "banksy"
 def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_index_file,
                                           monkeypatch, capsys):
     """Any value for any option ends in exit 0, 1 or 2, never in a traceback, and a
-    run that is written reads back with finite scores.  Outputs go to a fresh directory."""
+    run that is written reads back with no nan score, and with no -inf score unless
+    the call's mu underflows on its index.  Outputs go to a fresh directory."""
     assert set(GOOD_CALLS) == set(OPTIONS)  # every subcommand is fuzzed
     command, extra = call
     files = {"@kb": bang_kb, "@index": graffiti_index_file,
@@ -848,5 +918,7 @@ def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_inde
         if "--out" not in outs:
             outs["--out"] = work / "stdout.trec"
             outs["--out"].write_text(out)
+        underflows = _mu_underflows(argv)
         for ranked in read_trec_run(str(outs["--out"])):
-            assert all(math.isfinite(score) for _doc, score in ranked.entries)
+            for _doc, score in ranked.entries:
+                assert math.isfinite(score) or (score == -math.inf and underflows), score

@@ -109,12 +109,11 @@ def test_default_ks():
     assert DEFAULT_KS == (5, 10, 15, 20, 30, 100, 200, 500, 1000)
 
 
-def test_report_tsv():
+def test_report_means_as_the_eval_table_prints_them():
     runs, qrels = _fixture_runs_and_qrels()
-    text = evaluate(runs, qrels, ks=(5, 10)).to_tsv("fixture")
-    lines = text.splitlines()
-    assert lines[0] == "\tP@5\tP@10"
-    assert lines[1].startswith("fixture\t0.3000\t0.1500")
+    report = evaluate(runs, qrels, ks=(5, 10))
+    assert report.ks == (5, 10)
+    assert [f"{report.means[k]:.4f}" for k in report.ks] == ["0.3000", "0.1500"]
 
 
 def test_qrels_loading(tmp_path):

@@ -58,26 +58,35 @@ def test_parse_examples():
     )
     # nested parentheses inside a window phrase are balanced
     assert parse("#1(above (artist))") == Window(1, ("above", "artist"), display="above (artist)")
+    # a phrase's display collapses whitespace of every kind, as normalize_title does
+    assert parse("#1( above\t\x1c(artist)\u2028)") == parse("#1(above (artist))")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "#combine(a b",          # unbalanced
-        "#combine()",            # no children
-        "#weight(5.0)",          # weight without node
-        "#weight(x a)",          # missing weight value
-        "#weight(0.0 a)",        # zero weight
-        "#frob(a)",              # unknown operator
-        "#0(a)",                 # window size zero
-        "a b",                   # trailing garbage after one node
-        "",                      # empty
-        "#1()",                  # window with no tokens
-    ],
-)
+# each bad text, with the ParseError position and expectation it raises
+PARSE_ERRORS = {
+    "#combine(a b": (12, "a query node"),  # unbalanced
+    "#combine( a": (11, "a query node"),
+    "#combine()": (10, "at least one child in #combine"),
+    "#weight(5.0)": (11, "a term token"),  # weight without node
+    "#weight( 1.0 )": (13, "a term token"),
+    "#weight( )": (10, "at least one (weight, node) entry in #weight"),
+    "#weight(x a)": (8, "a weight value"),  # missing weight value
+    "#weight(0.0 a)": (8, "a finite, strictly positive weight"),
+    "#frob(a)": (1, "'combine', 'weight' or a window size"),  # unknown operator
+    "#0(a)": (3, "a window size >= 1"),
+    "a b": (2, "end of input"),  # trailing garbage after one node
+    "": (0, "a query node"),
+    "#1()": (3, "at least one token inside the window"),
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    position, expected = PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as info:
         parse(text)
+    assert (info.value.position, info.value.expected) == (position, expected)
+    assert str(info.value) == f"at position {position}: expected {expected}"
 
 
 def test_parse_is_whitespace_insensitive():

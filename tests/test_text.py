@@ -10,7 +10,7 @@ from sqe.evaluation import Qrels
 from sqe.kb_graph import load_graph
 from sqe.pipeline import PipelineConfig, load_topics
 from sqe.search_engine import Document, build_index, read_documents, read_trec_run, save_index
-from sqe.text import lines, tokenize
+from sqe.text import lines, normalize_title, tokenize
 
 from conftest import write_tsv
 
@@ -22,6 +22,32 @@ _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 @example(text="İstanbul STRASSE straße ΣΑΣ ς x_y 3.14 café")
 def test_tokenize_equals_split_reference(text):
     assert tokenize(text) == [t for t in _NON_ALNUM.split(text.lower()) if t]
+
+
+# whitespace of every kind, underscores and sigmas, mixed with any character
+_TITLES = st.text(st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028"
+                                       "\u2029\u202f\u3000_ΣσςAz0(")) | st.characters())
+
+
+@settings(max_examples=500)
+@given(title=_TITLES)
+@example(title="\x1cStreet\x1dart\x1e \x1f")
+@example(title="\x85Above\xa0(artist)\u2028")
+@example(title="__Street___art__ _")
+@example(title="ΟΔΟΣ_ΣΑΣ Σ")
+def test_normalize_title_equals_the_regex_rule(title):
+    """``str.split`` finds the whitespace that ``\\s`` matches, so titles normalize as the regex did."""
+    assert normalize_title(title) == re.sub(r"\s+", " ", title.replace("_", " ").strip()).lower()
+
+
+@settings(max_examples=500)
+@given(title=_TITLES)
+@example(title="ΟΔΟΣ_ΣΑΣ Σ")
+@example(title="\u212aelvin_\u0130stanbul")
+def test_normalized_title_has_the_tokens_of_the_title(title):
+    """The linker matches request tokens against a title's tokens, and the query's entity
+    phrase holds the normalized title's tokens: the two are the same."""
+    assert tokenize(normalize_title(title)) == tokenize(title)
 
 
 def test_lines_skip_blank_lines_and_keep_numbers(tmp_path):
