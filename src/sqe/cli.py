@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluation, pipeline
 from .cycle_analysis import MAX_CYCLE_LEN, MIN_CYCLE_LEN, cycle_length_stats, enumerate_cycles
 from .entity_linker import InputRequest
-from .errors import FormatError, ParseError, SqeError
+from .errors import FormatError, NoEntities, ParseError, SqeError
 from .kb_graph import KBGraph, load_graph, load_snapshot, save_snapshot
 from .motif_expander import MotifKind, expand
 from .query_lang import build_expanded_query, parse, render
@@ -95,6 +95,11 @@ def _kb_flags(sub, linker: bool = False):
         sub.add_argument("--max-ngram", type=_positive_int, default=_DEFAULTS.max_ngram)
 
 
+def _link_text(g, args) -> list[int]:  # raises NoEntities, naming the text, when nothing links
+    linker = pipeline.make_linker(g, args.max_ngram, args.stop_titles)
+    return linker.link(InputRequest("cli", args.text)).input_nodes
+
+
 def _resolve_entities(g, args) -> list[int]:
     nodes = []
     if args.entities:
@@ -104,8 +109,7 @@ def _resolve_entities(g, args) -> list[int]:
                 raise SqeError(f"no article titled {title!r}")
             nodes.append(node)
     elif args.text:
-        linker = pipeline.make_linker(g, args.max_ngram, args.stop_titles)
-        nodes = linker.link(InputRequest("cli", args.text)).input_nodes
+        nodes = _link_text(g, args)
     else:
         raise SystemExit(_usage_error("provide --entities or --text"))
     return nodes
@@ -134,10 +138,9 @@ def cmd_index(args) -> int:
 
 def cmd_link(args) -> int:
     g = _load_kb(args)
-    linker = pipeline.make_linker(g, args.max_ngram, args.stop_titles)
-    linked = linker.link(InputRequest("cli", args.text))
+    nodes = _link_text(g, args)
     with _output(args.out) as out:
-        for node in linked.input_nodes:
+        for node in nodes:
             out.write(f"{g.title(node)}\t{node}\n")
     return 0
 
@@ -178,8 +181,11 @@ def cmd_analyze_cycles(args) -> int:
 
 def cmd_build_query(args) -> int:
     g = _load_kb(args)
-    nodes = _resolve_entities(g, args)
-    qg = expand(g, nodes, MotifKind(args.motif)) if args.motif else None
+    try:
+        nodes = _resolve_entities(g, args)
+    except NoEntities:  # the input-only query, which `run` searches for such a topic
+        nodes = []
+    qg = expand(g, nodes, MotifKind(args.motif)) if args.motif and nodes else None
     titles = [g.title(n) for n in nodes]
     eq = build_expanded_query(tokenize(args.text or " ".join(titles)), titles, qg, g)
     with _output(args.out) as out:

@@ -72,7 +72,7 @@ class EntityLinker:
             else:
                 i += 1
         if not result.input_nodes:
-            raise NoEntities(f"request {req.request_id!r}: no article title matches {req.text!r}")
+            raise NoEntities(f"no article title matches {req.text!r}")
         return result
 
 

@@ -99,6 +99,9 @@ class PipelineConfig:
         labels = [l for l, _k in self.plan]
         if len(set(labels)) != len(labels):
             raise ValueError(f"plan labels must be unique: {labels}")
+        for l in labels:  # each names two report columns
+            if not is_run_id(l):
+                raise ValueError(f"plan label {l!r} is empty or holds whitespace")
         if len(self.plan) != len(self.cutoffs) + 1:
             raise ValueError(
                 f"plan of {len(self.plan)} entries needs {len(self.plan) - 1} cutoffs, "

@@ -120,6 +120,42 @@ def test_build_query(graffiti_kb, capsys):
     assert "#weight( 5.0 #1(stencil)" in line
 
 
+@pytest.mark.parametrize("motif", [[], ["--motif", "both"]], ids=["no-motif", "both"])
+def test_build_query_for_a_text_that_links_nothing_is_the_input_only_query(
+    motif, tmp_path, graffiti_kb, graffiti_index_file, capsys
+):
+    assert main(["build-query", "--kb", graffiti_kb, "--text", "viki", *motif]) == 0
+    query = capsys.readouterr().out
+    assert query == "#combine( #combine( viki ) )\n"
+    # and it is the query `run` searches for such a topic
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("v1\tviki\n")
+    assert main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file, "--topics",
+                 str(topics), "--out", str(tmp_path / "run.trec")]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(f"v1\t{query}")
+    assert main(["search", "--index", graffiti_index_file, "--queries", str(queries),
+                 "--out", str(tmp_path / "search.trec")]) == 0
+    run = (tmp_path / "run.trec").read_text()
+    assert run and run == (tmp_path / "search.trec").read_text()
+
+
+@pytest.mark.parametrize("command", [["link"], ["expand"], ["expand", "--motif", "square"]],
+                         ids=["link", "expand", "expand-square"])
+def test_text_that_links_nothing_exits_2_naming_the_text(command, graffiti_kb, capsys):
+    assert main([*command, "--kb", graffiti_kb, "--text", "viki"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqe: error: no article title matches 'viki'\n"
+
+
+@pytest.mark.parametrize("motif", [[], ["--motif", "both"]], ids=["no-motif", "both"])
+def test_build_query_for_a_text_without_tokens_exits_2(motif, graffiti_kb, capsys):
+    assert main(["build-query", "--kb", graffiti_kb, "--text", "!!!", *motif]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqe: error: input tokens are empty") and err.count("\n") == 1
+
+
 def test_analyze_cycles_csv(cable_files, capsys):
     nodes, edges = cable_files
     code = main(["analyze-cycles", "--nodes", nodes, "--edges", edges, "--seeds", "Cable_car"])
@@ -493,6 +529,7 @@ def test_bad_argument_value_exits_1(case, tmp_path, graffiti_kb, graffiti_index_
     "plan = eq1:hexagon\n", "cutoffs = 5\n", "mu = 0\n", "total = 0\n",
     "orig_weight = 1\nprf = on\n", "max_ngram = 0\n", "mu = 1e308\n", "tag =\n", "tag = a b\n",
     "fb_docs = -3\nprf = on\n", "fb_terms = 0\nprf = on\n", "prf = banana\n",
+    "plan = a\tb:both\ncutoffs =\n", "plan = :both\ncutoffs =\n",
 ])
 def test_bad_config_value_exits_1(config, tmp_path, graffiti_kb, graffiti_index_file, capsys):
     topics = tmp_path / "topics.tsv"

@@ -34,3 +34,15 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout.strip()
     if demo.name not in TIMED:
         assert proc.stdout == _golden(demo).read_text(encoding="utf-8")
+
+
+def test_readme_quickstart_prints_the_query_it_shows(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shown = block.split("print(render(query))\n", 1)[1].splitlines()[0]
+    assert shown.startswith("# #combine( ")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == shown.removeprefix("# ")
