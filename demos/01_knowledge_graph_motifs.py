@@ -28,7 +28,7 @@ edges = [
 g = build_graph(nodes, edges)
 
 report = g.validate()
-print(f"loaded {report.n_nodes} nodes, {report.n_edges} edges, "
+print(f"loaded {len(g)} nodes, {sum(report.edge_counts.values())} edges, "
       f"{len(report.warnings)} warnings")
 
 cable = g.article_by_title("cable car")  # titles are normalized for lookup

@@ -136,7 +136,10 @@ def paired_t_test(
 
     Differences are after - before.  All-zero differences give t = 0 and
     p = 1; equal nonzero differences have zero variance and get a signed
-    infinite t with p = 0.
+    infinite t with p = 0.  t does not depend on the scale of the
+    differences, so a largest one outside [2**-500, 2**500] is brought to
+    [0.5, 1) by a power of two, where squares neither underflow nor
+    overflow; inside, no rescale moves the last bit of t.
     """
     if len(before) != len(after):
         raise LengthMismatch(f"{len(before)} before vs {len(after)} after values")
@@ -144,13 +147,13 @@ def paired_t_test(
     if n < 2:
         raise TooFewPairs("paired t-test needs at least 2 pairs")
     diffs = [a - b for b, a in zip(before, after)]
+    largest = max(map(abs, diffs))
+    if largest and not 2.0**-500 <= largest <= 2.0**500:  # nan and inf keep their scale
+        diffs = [math.ldexp(d, -math.frexp(largest)[1]) for d in diffs]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    if var == 0.0:
-        if mean == 0.0:
-            return TTestResult(0.0, 1.0, False)
-        t = math.inf if mean > 0 else -math.inf
-        return TTestResult(t, 0.0, 0.0 < alpha)
-    t = mean / math.sqrt(var / n)
+    if var == 0.0 and mean == 0.0:
+        return TTestResult(0.0, 1.0, False)
+    t = mean / math.sqrt(var / n) if var else math.copysign(math.inf, mean)
     p = student_t_sf2(t, n - 1)
     return TTestResult(t, p, p < alpha)

@@ -71,14 +71,6 @@ class ValidationReport:
     orphan_categories: list[NodeId] = field(default_factory=list)
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_articles + self.n_categories
-
-    @property
-    def n_edges(self) -> int:
-        return sum(self.edge_counts.values())
-
-    @property
     def warnings(self) -> list[str]:
         out = [f"article {a} has no category" for a in self.articles_without_category]
         out += [f"category {c} has no edges" for c in self.orphan_categories]

@@ -34,6 +34,10 @@ class QueryGraph:
     motif_kind: MotifKind = MotifKind.BOTH
 
 
+# input set -> its TRIANGULAR and SQUARE query graphs
+Expansions = dict[frozenset[NodeId], tuple[QueryGraph, QueryGraph]]
+
+
 def _motif_graphs(g: KBGraph, inputs: Iterable[NodeId]) -> tuple[QueryGraph, QueryGraph]:
     """The triangular and square query graphs of ``inputs``, from one walk."""
     nodes = sorted(set(inputs))
@@ -78,22 +82,21 @@ def expand(
     g: KBGraph,
     inputs: Iterable[NodeId],
     kind: MotifKind,
-    shared: dict[MotifKind, QueryGraph] | None = None,
+    shared: Expansions | None = None,
 ) -> QueryGraph:
     """Build a query graph with one motif family or the weight-sum of both.
 
-    ``shared`` is a caller-owned memo for one input set: the first call
-    walks the graph once and stores its TRIANGULAR and SQUARE graphs, later
-    calls read them, and BOTH is the sum of the two entries.
+    ``shared`` is a caller-owned memo, keyed by input set under the memo
+    rule of :mod:`sqe.pipeline`: one walk fills an entry with both motif
+    graphs, and BOTH is the sum of the two.
     """
+    key = frozenset(inputs)
     shared = {} if shared is None else shared
-    if MotifKind.TRIANGULAR not in shared:
-        shared[MotifKind.TRIANGULAR], shared[MotifKind.SQUARE] = _motif_graphs(g, inputs)
-    elif shared[MotifKind.TRIANGULAR].input_nodes != frozenset(inputs):
-        raise ValueError("a shared expansion memo serves one input set only")
+    if key not in shared:
+        shared[key] = _motif_graphs(g, key)
+    tri, sq = shared[key]
     if kind is not MotifKind.BOTH:
-        return shared[kind]
-    tri, sq = shared[MotifKind.TRIANGULAR], shared[MotifKind.SQUARE]
+        return tri if kind is MotifKind.TRIANGULAR else sq
     combined = Counter(tri.expansion)
     combined.update(sq.expansion)
     return QueryGraph(tri.input_nodes, dict(combined), MotifKind.BOTH)

@@ -8,22 +8,21 @@ quota of unseen documents from the second, and the final list fills up
 to the total.  Merged scores are synthetic (total - rank + 1) so the
 output forms a valid run.
 
-Work is shared through memos that the functions here create and drop:
+Work is shared through memos that the functions here create and drop.
+Each memo is keyed by the argument of the function whose result it
+holds, and lives as long as everything else that result depends on is
+fixed, so an entry can never serve a call it does not fit:
 
-* per request, in ``run_request_detailed``: ``expansions`` runs each
-  motif once (a BOTH entry sums the TRIANGULAR and SQUARE graphs), and
-  ``leaves`` scores each term or window once, holding its dense score
-  vector over the collection.
-* per batch, in ``run_batch``, two that depend on the index or the
-  graph alone, so every request of the batch shares them:
-
-  * ``matches`` runs each multi-token window's match dynamic program
-    once, holding only the (document ordinal, count) pairs whose count
-    is above 0; each request's ``leaves`` rebuilds its dense vectors
-    from them.
-  * ``phrases`` builds each feature article's query phrase (its
-    normalized title, tokenized, as an exact-phrase window) once, keyed
-    by node id, for every plan entry of every request.
+* per request, in ``run_request_detailed``: ``expansions`` maps an input
+  set to its TRIANGULAR and SQUARE graphs from one walk (a BOTH entry
+  sums the two), and ``leaves`` maps each term or window to its dense
+  score vector over the collection for the request's index and mu.
+* per batch, in ``run_batch``: ``matches`` maps each multi-token window
+  to the (document ordinal, count) pairs of its match dynamic program
+  whose count is above 0, from which each request's ``leaves`` rebuilds
+  its dense vectors; ``phrases`` maps each normalized title to its
+  exact-phrase window, for the entity and feature phrases of every plan
+  entry of every request.
 
 None of them is kept on the index, the graph or this module.
 """
@@ -39,7 +38,7 @@ from typing import IO, Any, Callable, NamedTuple, Sequence
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
-from .motif_expander import MotifKind, QueryGraph, expand
+from .motif_expander import Expansions, MotifKind, expand
 from .query_lang import Phrases, build_expanded_query
 from .search_engine import (
     DEFAULT_MU,
@@ -237,8 +236,8 @@ def run_request_detailed(
     """One request through link, per-plan expansion, search and merge.
 
     ``run_batch`` builds ``linker``, ``stopwords``, the window ``matches``
-    memo and the feature ``phrases`` memo once and passes them to each of
-    its requests.
+    memo and the ``phrases`` memo once and passes them to each of its
+    requests.
     """
     report = RequestReport(req.request_id)
     t0 = time.perf_counter()
@@ -257,7 +256,7 @@ def run_request_detailed(
     # with no input nodes every plan entry would run the same input-only
     # query, so the first entry's search alone is the merged result
     plan = cfg.plan if inputs else cfg.plan[:1]
-    expansions: dict[MotifKind, QueryGraph] = {}
+    expansions: Expansions = {}
     leaves = Leaves(matches)  # one index and one mu for the whole request
     # the merge reads at most sum(cutoffs[:i + 1]) entries of list i but the
     # last, and a top-k is a prefix of any longer top-k
@@ -302,8 +301,8 @@ def run_batch(
     """All topics, one after another; outputs are in topic order.
 
     The linker and the stopwords that ``cfg`` names are built once, and the
-    requests share one window ``matches`` memo and one feature ``phrases``
-    memo, dropped on return.  ``jobs`` must be 1.
+    requests share one window ``matches`` memo and one ``phrases`` memo,
+    dropped on return.  ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError(f"requests run in order, so jobs must be 1, got {jobs}")

@@ -6,7 +6,9 @@ takes a normalized weighted sum, ``#N(tok tok)`` is an ordered window
 with at most N-1 positions between consecutive tokens (``#1`` is exact
 phrase matching), and a bare token matches a single term.  Trees render
 to text and parse back; render and parse are inverse up to whitespace.
-Parsed text nests operators at most ``MAX_DEPTH`` deep.
+Parsed text nests operators at most ``MAX_DEPTH`` deep.  An expanded
+query takes its entity and its feature phrases from one ``Phrases`` memo,
+keyed by normalized title under the memo rule of :mod:`sqe.pipeline`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import EmptyInput, ParseError
-from .kb_graph import KBGraph, NodeId
+from .kb_graph import KBGraph
 from .motif_expander import QueryGraph
 from .text import TOKEN, normalize_title, tokenize
 
@@ -103,22 +105,24 @@ class ExpandedQuery:
         return Combine(tuple(parts))
 
 
-def phrase(title: str, n: int = 1) -> Window:
+def phrase(title: str) -> Window:
     """Exact-phrase window for a title; keeps parentheses etc. for display."""
-    window = _title_window(normalize_title(title), n)
+    window = _phrase({}, normalize_title(title))
     if window is None:
         raise ValueError(f"title has no tokens: {title!r}")
     return window
 
 
-def _title_window(norm: str, n: int = 1) -> Window | None:
-    """``phrase`` of the normalized title ``norm``; None when it has no tokens."""
-    toks = tokenize(norm)
-    return Window(n, tuple(toks), display=norm) if toks else None
+# normalized title -> its exact-phrase window, None for a title with no tokens
+Phrases = dict[str, Window | None]
 
 
-# node id -> the phrase of its normalized title, None for a title with no tokens
-Phrases = dict[NodeId, Window | None]
+def _phrase(phrases: Phrases, norm: str) -> Window | None:
+    """The window of the normalized title ``norm``, built into ``phrases`` on first use."""
+    if norm not in phrases:
+        toks = tokenize(norm)
+        phrases[norm] = Window(1, tuple(toks), display=norm) if toks else None
+    return phrases[norm]
 
 
 def build_expanded_query(
@@ -135,19 +139,18 @@ def build_expanded_query(
     a feature whose title has no tokens is left out.  An entity title with
     no tokens raises :class:`EmptyInput` (the linker never links one).
     ``g`` resolves the query graph's node ids to titles and is required
-    only when ``qg`` is given.  ``phrases`` memoizes each feature's phrase
-    by node id and is filled on first use; it depends on ``g`` alone, so
-    a caller may share one across queries over that graph.  With none
-    given, a fresh one serves this call.
+    only when ``qg`` is given.  Every phrase comes from ``phrases``, or
+    from a fresh table when none is given.
     """
     tokens = [t for raw in input_tokens for t in tokenize(raw)]
     if not tokens:
         raise EmptyInput("input tokens are empty after normalization")
     input_part = Combine(tuple(Term(t) for t in tokens))
+    phrases = {} if phrases is None else phrases
 
     entity_part = None
     if entity_titles:
-        windows = tuple(_title_window(normalize_title(t)) for t in entity_titles)
+        windows = tuple(_phrase(phrases, normalize_title(t)) for t in entity_titles)
         if None in windows:
             raise EmptyInput(f"entity title {entity_titles[windows.index(None)]!r} has no tokens")
         entity_part = Combine(windows)
@@ -156,15 +159,12 @@ def build_expanded_query(
     if qg is not None and qg.expansion:
         if g is None:
             raise ValueError("a graph is needed to resolve expansion titles")
-        if phrases is None:
-            phrases = {}
         weights = qg.expansion
         features = []
         for a in sorted(weights, key=lambda a: (-weights[a], g.normalized_title(a))):
-            if a not in phrases:
-                phrases[a] = _title_window(g.normalized_title(a))
-            if phrases[a] is not None:
-                features.append((weights[a], phrases[a]))
+            window = _phrase(phrases, g.normalized_title(a))
+            if window is not None:
+                features.append((weights[a], window))
         feature_part = Weight(tuple(features)) if features else None
 
     return ExpandedQuery(input_part, entity_part, feature_part)

@@ -11,17 +11,16 @@ keeps the ranking contract exact.
 
 Indexes are immutable after build.  Work shared between searches lives
 in memos that belong to the caller, never to ``Index`` or to this
-module.  ``search`` and ``prf_expand`` take one optional ``Leaves``
-memo, which holds two, and make a fresh one when given none; entries
-are filled on first use and never changed once stored:
+module, under the memo rule of :mod:`sqe.pipeline`.  ``search`` and
+``prf_expand`` take one optional ``Leaves`` memo, which holds two, and
+make a fresh one when given none; entries are filled on first use and
+never changed once stored:
 
 * the ``Leaves`` dict itself: each term's and window's dense score
-  vector for one index and one ``mu``, keyed by ``(n, tokens)``; a
-  pipeline keeps one per request.
+  vector, keyed by ``(n, tokens)``, for one index and one ``mu``.
 * ``Leaves.matches``: each multi-token window's match pairs, the
   document ordinals and counts where the count is above 0, keyed by
-  ``(n, tokens)``; it depends on the index alone, so a pipeline shares
-  one across a batch of requests and drops it when the batch ends.
+  ``(n, tokens)``, for one index.
 """
 
 from __future__ import annotations

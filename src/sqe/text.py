@@ -36,10 +36,12 @@ def normalize_title(title: str) -> str:
 @contextlib.contextmanager
 def open_text(path: str):
     """Open an input file as UTF-8 text, less a leading byte-order mark; every
-    reader goes through here, so a byte that does not decode raises
-    :class:`FormatError` with its line."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
+    reader goes through here, so a byte that does not decode, a truncated
+    mark included, raises :class:`FormatError` with its line."""
+    try:  # "utf-8-sig" would read a file of a truncated mark alone as empty
+        with open(path, encoding="utf-8") as fh:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             yield fh
     except UnicodeDecodeError:
         raw = Path(path).read_bytes()

@@ -75,6 +75,13 @@ def test_ingest_summary_and_snapshot(cable_files, tmp_path, capsys):
     assert g.edge_count(EdgeKind.AA) == 3
 
 
+def test_ingest_prints_at_most_20_warnings(tmp_path, capsys):
+    nodes = write_tsv(tmp_path / "nodes.tsv", [(f"a{i}", "A", f"Title {i}") for i in range(25)])
+    assert main(["ingest", "--nodes", nodes, "--edges", write_tsv(tmp_path / "edges.tsv", [])]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings == [f"warning: article {i} has no category" for i in range(20)] + ["warning: ... 5 more"]
+
+
 def test_expand_cable_fixture(cable_files, capsys):
     nodes, edges = cable_files
     code = main(
@@ -140,13 +147,18 @@ def test_build_query_for_a_text_that_links_nothing_is_the_input_only_query(
     assert run and run == (tmp_path / "search.trec").read_text()
 
 
-@pytest.mark.parametrize("command", [["link"], ["expand"], ["expand", "--motif", "square"]],
-                         ids=["link", "expand", "expand-square"])
-def test_text_that_links_nothing_exits_2_naming_the_text(command, graffiti_kb, capsys):
-    assert main([*command, "--kb", graffiti_kb, "--text", "viki"]) == 2
+@pytest.mark.parametrize("command, fault", [
+    (["link", "--text", "viki"], "no article title matches 'viki'"),
+    (["expand", "--text", "viki"], "no article title matches 'viki'"),
+    (["expand", "--motif", "square", "--text", "viki"], "no article title matches 'viki'"),
+    (["expand", "--entities", "Graffiti", "Viki"], "no article titled 'Viki'"),
+], ids=["link", "expand", "expand-square", "expand-entities"])
+def test_text_that_links_nothing_exits_2_naming_the_text(command, fault, graffiti_kb, capsys):
+    """Or an ``--entities`` title that names no article."""
+    assert main([*command, "--kb", graffiti_kb]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "sqe: error: no article title matches 'viki'\n"
+    assert captured.err == f"sqe: error: {fault}\n"
 
 
 @pytest.mark.parametrize("motif", [[], ["--motif", "both"]], ids=["no-motif", "both"])
@@ -508,6 +520,10 @@ BAD_ARGUMENTS = {
     "ttest-alpha-nan": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}",
                         "--alpha", "nan"],
     "ttest-alpha-1": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--alpha", "1"],
+    # an input that one of two flags gives, with neither given
+    "expand-no-input": ["expand", "--kb", "{kb}"],
+    "build-query-no-input": ["build-query", "--kb", "{kb}"],
+    "search-no-query": ["search", "--index", "{index}"],
 }
 
 
@@ -591,19 +607,33 @@ def test_one_entry_plan_config_runs(tmp_path, graffiti_kb, graffiti_index_file, 
     assert lines and all(line.split()[5] == "one" for line in lines)
 
 
-def _bumped_version(good: Path, path: Path) -> None:
-    with np.load(good) as data:
-        arrays = dict(data)
-    arrays["version"] = arrays["version"] + 1
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def _edited_archive(**changes):
+    """Rewrite the first good file given with columns replaced; a change of None drops one."""
+    def make(good: Path, _other: Path, path: Path) -> None:
+        with np.load(good) as data:
+            arrays = dict(data)
+        for name, change in changes.items():
+            if change is None:
+                del arrays[name]
+            else:
+                arrays[name] = change(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return make
+
+
+def _with_first(column: np.ndarray, value) -> np.ndarray:
+    out = column.copy()
+    out[0] = value
+    return out
 
 
 STALE_INDEXES = {
     "tsv": lambda good, kb, path: path.write_text("73\tgraffiti street art\n"),
     "snapshot": lambda good, kb, path: path.write_bytes(kb.read_bytes()),
     "truncated": lambda good, kb, path: path.write_bytes(good.read_bytes()[:-100]),
-    "bumped-version": lambda good, kb, path: _bumped_version(good, path),
+    "bumped-version": _edited_archive(version=lambda a: a["version"] + 1),
+    "unequal-columns": _edited_archive(doc_lengths=lambda a: a["doc_lengths"][:-1]),
     # indexes were pickled Index objects before the columnar file format
     "pickle": lambda good, kb, path: path.write_bytes(
         pickle.dumps(build_index([Document.from_text("d", "banksy")]), pickle.HIGHEST_PROTOCOL)
@@ -634,46 +664,26 @@ def test_max_ngram_below_one_exits_1(cable_files, capsys):
     ]
 
 
-def _edited_snapshot(**changes):
-    """Rewrite the good snapshot with columns replaced; a change of None drops one."""
-    def make(kb: Path, index: Path, path: Path) -> None:
-        with np.load(kb) as data:
-            arrays = dict(data)
-        for name, change in changes.items():
-            if change is None:
-                del arrays[name]
-            else:
-                arrays[name] = change(arrays)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-    return make
-
-
-def _with_first(column: np.ndarray, value) -> np.ndarray:
-    out = column.copy()
-    out[0] = value
-    return out
-
-
 # the graffiti graph: articles are nodes 0-8, categories 9-14
 STALE_SNAPSHOTS = {
     "index": lambda kb, index, path: path.write_bytes(index.read_bytes()),
     "tsv": lambda kb, index, path: path.write_text("73\tgraffiti street art\n"),
     "truncated": lambda kb, index, path: path.write_bytes(kb.read_bytes()[:-100]),
-    "bumped-version": _edited_snapshot(version=lambda a: a["version"] + 1),
+    "bumped-version": _edited_archive(version=lambda a: a["version"] + 1),
     # snapshots were pickled dicts before the columnar file format
     "pickle": lambda kb, index, path: path.write_bytes(pickle.dumps(
         {"magic": "sqe-kb-snapshot", "version": 1, "nodes": [("a1", "A", "Graffiti")],
          "edges": {"AA": np.zeros((0, 2), dtype=np.int64)}}, pickle.HIGHEST_PROTOCOL
     )),
-    "missing-column": _edited_snapshot(titles=None),
-    "unequal-pairs": _edited_snapshot(CC_src=lambda a: a["CC_src"][:-1]),
-    "float-ids": _edited_snapshot(AA_src=lambda a: a["AA_src"].astype(float)),
-    "bad-id": _edited_snapshot(AA_dst=lambda a: _with_first(a["AA_dst"], 99)),
-    "self-loop": _edited_snapshot(AA_dst=lambda a: _with_first(a["AA_dst"], a["AA_src"][0])),
-    "wrong-dst-kind": _edited_snapshot(AC_dst=lambda a: _with_first(a["AC_dst"], 1)),
-    "wrong-src-kind": _edited_snapshot(CC_src=lambda a: _with_first(a["CC_src"], 0)),
-    "bad-node-kind": _edited_snapshot(kinds=lambda a: _with_first(a["kinds"], ord("Q"))),
+    "missing-column": _edited_archive(titles=None),
+    "unequal-pairs": _edited_archive(CC_src=lambda a: a["CC_src"][:-1]),
+    "float-ids": _edited_archive(AA_src=lambda a: a["AA_src"].astype(float)),
+    "bad-id": _edited_archive(AA_dst=lambda a: _with_first(a["AA_dst"], 99)),
+    "self-loop": _edited_archive(AA_dst=lambda a: _with_first(a["AA_dst"], a["AA_src"][0])),
+    "wrong-dst-kind": _edited_archive(AC_dst=lambda a: _with_first(a["AC_dst"], 1)),
+    "wrong-src-kind": _edited_archive(CC_src=lambda a: _with_first(a["CC_src"], 0)),
+    "bad-node-kind": _edited_archive(kinds=lambda a: _with_first(a["kinds"], ord("Q"))),
+    "unequal-node-columns": _edited_archive(kinds=lambda a: a["kinds"][:-1]),
 }
 
 
@@ -724,6 +734,8 @@ _FILE = (_LINES.map(lambda lines: "\n".join(lines).encode("utf-8"))
 @example(case="search-queries", content=b"#combine( " * 1200 + b"banksy" + b" )" * 1200)
 @example(case="eval-qrels", content=b"\r\x80")
 @example(case="eval-qrels", content=b"a\r\nb\r\xff")
+@example(case="eval-qrels", content=b"\xef")  # a truncated byte-order mark
+@example(case="eval-qrels", content=b"\xef\xbb")
 def test_fuzzed_input_file_never_crashes(case, content, tmp_path, graffiti_kb, graffiti_index_file,
                                          capsys):
     """Any bytes in any input file end in exit 0, 1 or 2, never in a traceback.

@@ -155,6 +155,15 @@ def test_ttest_zero_variance_sentinel():
     assert math.isinf(t2) and t2 < 0
 
 
+@pytest.mark.parametrize("exponent", [-1070, -600, 600, 1000])
+def test_ttest_does_not_depend_on_the_scale_of_the_differences(exponent):
+    """Squares of differences this small underflow to 0, and this large overflow."""
+    diffs = [3.0, 1.0, 2.0, 1.5]
+    scaled = [math.ldexp(d, exponent) for d in diffs]
+    assert paired_t_test([0.0] * 4, scaled) == paired_t_test([0.0] * 4, diffs)
+    assert paired_t_test([0.0, 0.0], [math.ldexp(1.0, exponent), 0.0]) == (1.0, 0.5, False)
+
+
 def test_ttest_errors():
     with pytest.raises(LengthMismatch):
         paired_t_test([1.0], [1.0, 2.0])

@@ -196,8 +196,8 @@ def test_shared_memo_matches_fresh_expansions_in_every_order(seed, n_nodes, n_in
                 qg = expand(g, inputs, kind, shared)
                 assert (qg.motif_kind, qg.expansion) == (kind, fresh[kind])
                 assert qg.input_nodes == frozenset(inputs)
-        assert walk.call_count == 1  # one walk per memo fills both motif entries
-        assert set(shared) == {MotifKind.TRIANGULAR, MotifKind.SQUARE}
+        assert walk.call_count == 1  # one walk fills the input set's entry
+        assert set(shared) == {frozenset(inputs)}
 
 
 @pytest.mark.parametrize("kind", list(MotifKind))
@@ -209,9 +209,13 @@ def test_expand_reads_a_one_shot_iterator_once(graffiti_graph, kind):
     assert qg.input_nodes == frozenset(ids)
 
 
-def test_shared_memo_serves_one_input_set(graffiti_graph):
+def test_one_shared_memo_serves_two_input_sets(graffiti_graph):
     g = graffiti_graph
+    first, second = [g.article_by_title("Graffiti")], [g.article_by_title("Street_art")]
     shared = {}
-    expand(g, [g.article_by_title("Graffiti")], MotifKind.TRIANGULAR, shared)
-    with pytest.raises(ValueError):
-        expand(g, [g.article_by_title("Street_art")], MotifKind.BOTH, shared)
+    with mock.patch.object(motif_expander, "_motif_graphs", wraps=motif_expander._motif_graphs) as walk:
+        for inputs in (first, second, first):
+            for kind in MotifKind:
+                assert expand(g, inputs, kind, shared) == expand(g, inputs, kind)
+    assert walk.call_count == 2 + 3 * len(MotifKind)  # the memo's two walks, then one per fresh call
+    assert set(shared) == {frozenset(first), frozenset(second)}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import merge_oracle
-from sqe import cli, pipeline, search_engine
+from sqe import cli, pipeline, query_lang, search_engine
 from sqe.entity_linker import InputRequest
 from sqe.errors import FormatError, LengthMismatch, NoEntities
 from sqe.kb_graph import build_graph
@@ -35,7 +35,7 @@ from sqe.search_engine import (
     prf_expand,
     search,
 )
-from sqe.text import tokenize
+from sqe.text import normalize_title, tokenize
 
 from conftest import GRAFFITI_EDGES, GRAFFITI_NODES, write_tsv
 
@@ -546,10 +546,28 @@ def test_batch_phrase_table_is_shared_and_each_run_equals_its_request_alone(
     table, size_at_start = seen[0]
     assert size_at_start == 0 and all(t is table for t, _size in seen)
     assert seen[-1][1] > 0  # a later request reads the phrases that earlier ones built
-    assert table == {a: phrase(g.title(a)) for a in table}  # every graffiti title has tokens
+    assert table == {norm: phrase(norm) for norm in table}  # every graffiti title has tokens
     assert not any(v is table for module in (pipeline, search_engine) for v in vars(module).values())
     monkeypatch.undo()
     assert runs == [run_request(g, idx, req, cfg) for req in BATCH_TOPICS]
+
+
+def test_batch_builds_each_title_phrase_once(graffiti_graph, graffiti_index, monkeypatch):
+    """Entities repeat across plan entries and requests, and titles recur as features."""
+    g, idx = graffiti_graph, graffiti_index
+    built = []
+    window = query_lang.Window
+
+    def spy(n, tokens, display=None):
+        built.append(display)
+        return window(n, tokens, display)
+
+    monkeypatch.setattr(query_lang, "Window", spy)
+    topics = [*BATCH_TOPICS, InputRequest("73b", "street art graffiti")]
+    _runs, reports = run_batch(g, idx, topics, PipelineConfig(cutoffs=(3, 3), total=10))
+    assert sum(set(r.entities) == {"Graffiti", "Street_art"} for r in reports) == 2
+    assert len(built) == len(set(built))
+    assert {normalize_title(t) for r in reports for t in r.entities} <= set(built)
 
 
 def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graffiti_index, tmp_path):

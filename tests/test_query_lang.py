@@ -20,7 +20,7 @@ from sqe.query_lang import (
     phrase,
     render,
 )
-from sqe.text import normalize_title
+from sqe.text import normalize_title, tokenize
 
 from conftest import CABLE_EDGES, CABLE_NODES
 
@@ -77,6 +77,8 @@ PARSE_ERRORS = {
     "a b": (2, "end of input"),  # trailing garbage after one node
     "": (0, "a query node"),
     "#1()": (3, "at least one token inside the window"),
+    "#1(banksy (street)": (18, "')' closing the window phrase"),  # unclosed
+    "#combine banksy": (8, "'(' after #combine"),
 }
 
 
@@ -192,27 +194,32 @@ _TITLES = st.text(alphabet="aB1_ !(", min_size=1, max_size=6).filter(str.strip)
 
 @st.composite
 def phrase_cases(draw):
-    """A graph and the expansions of a few query graphs over it."""
+    """A graph, the expansions of a few query graphs over it and entity titles, some
+    of them the features' titles as a category spells them."""
     titles = draw(st.lists(_TITLES, min_size=1, max_size=10, unique_by=normalize_title))
     # each title again as a category, differing only in case, underscores and spacing
     nodes = [(f"a{i}", "A", t) for i, t in enumerate(titles)]
     nodes += [(f"c{i}", "C", f" {t.swapcase().replace(' ', '_')}  ") for i, t in enumerate(titles)]
     g = build_graph(nodes, [])
     weights = st.dictionaries(st.integers(0, len(g) - 1), st.integers(1, 3), min_size=1)
-    return g, draw(st.lists(weights, min_size=1, max_size=6))
+    entities = st.lists(st.sampled_from([g.title(i) for i in range(len(g)) if tokenize(g.title(i))]
+                                        or ["a"]), max_size=3)
+    return g, draw(st.lists(st.tuples(weights, entities), min_size=1, max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=phrase_cases())
 def test_shared_phrase_table_builds_the_queries_a_fresh_one_builds(case):
-    g, expansions = case
+    g, queries = case
     phrases = {}
     # each query reads the entries that the queries before it filled, the second pass all of them
-    for weights in expansions + expansions[::-1]:
+    for weights, entities in queries + queries[::-1]:
         qg = QueryGraph(frozenset(), weights)
-        fresh = build_expanded_query(["q"], ["a"], qg, g)
-        assert build_expanded_query(["q"], ["a"], qg, g, phrases) == fresh
-    assert set(phrases) == {a for weights in expansions for a in weights}
+        fresh = build_expanded_query(["q"], entities, qg, g)
+        assert build_expanded_query(["q"], entities, qg, g, phrases) == fresh
+    titles = {g.title(a) for weights, _e in queries for a in weights} | {t for _w, e in queries for t in e}
+    assert set(phrases) == {normalize_title(t) for t in titles}
+    assert all(window == (phrase(norm) if tokenize(norm) else None) for norm, window in phrases.items())
 
 
 @pytest.mark.parametrize("text", [

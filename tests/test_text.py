@@ -62,6 +62,10 @@ def _search_queries(path: str) -> None:
     cmd_search(make_parser().parse_args(["search", "--index", index, "--queries", path]))
 
 
+def _load_nodes(path: str) -> None:
+    load_graph(path, write_tsv(Path(path).with_name("edges.tsv"), []))
+
+
 def _load_edges(path: str) -> None:
     nodes = write_tsv(Path(path).with_name("nodes.tsv"), [("1", "A", "X"), ("2", "A", "Y"), ("3", "C", "Z")])
     load_graph(nodes, path)
@@ -77,6 +81,13 @@ LINE_READERS = {
     "docs": (lambda path: list(read_documents(path)),
              '{"id": "a", "text": "x"}\n\n{"id": "a", "text": "y"}\n', "duplicate document id 'a'"),
     "runs": (read_trec_run, "b1 Q0 d1 1 1.0 x\n\nb1 Q0 d2 2 0.5\n", "expected 6 fields, got 5"),
+    "runs-rank": (read_trec_run, "b1 Q0 d1 1 1.0 x\n\nb1 Q0 d2 two 0.5 x\n",
+                  "invalid literal for int() with base 10: 'two'"),
+    "runs-score": (read_trec_run, "b1 Q0 d1 1 1.0 x\n\nb1 Q0 d2 2 high x\n",
+                   "could not convert string to float: 'high'"),
+    "qrels-grade": (Qrels.load, "b1 0 d1 1\n\nb1 0 d2 -1\n", "negative relevance -1"),
+    "nodes-columns": (_load_nodes, "1\tA\tX\n2\tA\tY\n3\tA\n", "expected 3 columns, got 2"),
+    "nodes-title": (_load_nodes, "1\tA\tX\n2\tA\tY\n3\tA\t \n", "empty title"),
     "edges": (_load_edges, "1\t2\tAA\n2\t3\tAC\n1\t2\tAC\n",
               "edge kind contradicts endpoint kinds (AC needs A->C, got A->A)"),
 }
