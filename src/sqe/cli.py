@@ -263,7 +263,7 @@ def cmd_merge(args) -> int:
     tag = run_files[0][0].tag if run_files[0] else "sqe"  # for a stand-in list
     merged = []
     for qid in qids:  # a run that lacks a request gives it an empty list
-        lists = [m.get(qid, RankedList(qid, [], tag)) for m in by_qid]
+        lists = [m[qid] if qid in m else RankedList(qid, [], tag) for m in by_qid]
         merged.append(pipeline.merge_lists(lists, args.cutoffs, args.total))
     with _output(args.out) as out:
         write_trec_run(merged, out)

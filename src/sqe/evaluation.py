@@ -64,7 +64,7 @@ def precision_at_k(run: RankedList, qrels: Qrels, k: int) -> float:
     if run.request_id not in qrels:
         raise UnknownQuery(f"request {run.request_id!r} has no judgments")
     judged = qrels.judgments[run.request_id]
-    hits = sum(1 for doc_id, _s in run.entries[:k] if judged.get(doc_id, 0) > 0)
+    hits = sum(1 for doc_id in run.ids[:k] if judged.get(doc_id, 0) > 0)
     return hits / k
 
 
@@ -96,7 +96,7 @@ def evaluate(
         by_qid[run.request_id] = run
     per_query: dict[str, dict[int, float]] = {}
     for qid in qrels.request_ids():
-        run = by_qid.get(qid, RankedList(qid, []))
+        run = by_qid[qid] if qid in by_qid else RankedList(qid, [])
         per_query[qid] = {k: precision_at_k(run, qrels, k) for k in ks}
     n = max(len(per_query), 1)
     means = {k: sum(per_query[q][k] for q in per_query) / n for k in ks}

@@ -32,8 +32,10 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from typing import IO, Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
@@ -207,13 +209,13 @@ def merge_lists(
     taken: list[str] = []
     seen: set[str] = set()
     for ranked, quota in zip(lists, [*cutoffs, total]):
-        fresh = [d for d, _s in ranked.entries if d not in seen]
-        fresh = fresh[: min(quota, total - len(taken))]
+        fresh = list(filterfalse(seen.__contains__, ranked.ids))[: min(quota, total - len(taken))]
         taken += fresh
         seen.update(fresh)
     top = min(total, sys.float_info.max)  # float(total) would overflow past it
-    entries = [(doc_id, float(top - rank)) for rank, doc_id in enumerate(taken)]
-    return RankedList(lists[0].request_id, entries, lists[0].tag)
+    # float(top - rank): the difference is exact in int64 below 2**63, else in Python numbers
+    ranks = np.arange(len(taken), dtype=np.int64 if top < 2**63 else object)
+    return RankedList._from_columns(lists[0].request_id, taken, top - ranks, lists[0].tag)
 
 
 def make_linker(g: KBGraph, max_ngram: int, stop_titles_path: str | None) -> EntityLinker:

@@ -7,7 +7,8 @@ when a pattern never occurs, so beliefs stay finite while
 ``mu * cf / |C|`` does not underflow to 0; below that a document without
 the pattern scores -inf), ``#combine`` averages and ``#weight`` takes a
 weight-normalized sum.  Scoring is exhaustive over the collection, which
-keeps the ranking contract exact.
+keeps the ranking contract exact.  A ``RankedList`` is two columns, the
+doc ids and a read-only float64 score array, checked once where built.
 
 Indexes are immutable after build.  Work shared between searches lives
 in memos that belong to the caller, never to ``Index`` or to this
@@ -28,10 +29,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -59,25 +59,49 @@ class Document:
         return cls(doc_id, tokenize(text))
 
 
-@dataclass
 class RankedList:
-    """Ordered retrieval output with TREC run semantics."""
+    """Ordered retrieval output with TREC run semantics, as two columns: ``ids``,
+    a tuple of doc id strings, and ``scores``, a read-only float64 array, best
+    first.  ``_from_columns`` copies the scores in; ``RankedList(request_id,
+    entries, tag)`` splits ``(doc_id, score)`` pairs and first rejects a score
+    that is not a real number.  Both check the order with one comparison (a nan
+    fails it) and the ids with one set; ``entries`` builds the pairs on each read."""
 
-    request_id: str
-    entries: list[tuple[str, float]] = field(default_factory=list)
-    tag: str = "sqe"
+    def __init__(self, request_id: str, entries: Iterable[tuple[str, float]] = (), tag: str = "sqe"):
+        pairs = list(entries)
+        try:  # "d" takes real numbers only, and overflows past the float range
+            scores = array("d", [s for _d, s in pairs])
+        except (TypeError, OverflowError):
+            raise ValueError("ranked list scores must be non-increasing numbers") from None
+        self._set_columns(request_id, [d for d, _s in pairs], scores, tag)
 
-    def __post_init__(self):
-        scores = list(map(operator.itemgetter(1), self.entries))
-        # every comparison with a nan is false, so a nan fails the pairwise test
-        ordered = all(map(operator.ge, scores, islice(scores, 1, None)))
-        if not ordered or (len(scores) == 1 and math.isnan(scores[0])):
+    @classmethod
+    def _from_columns(cls, request_id: str, ids: Iterable[str], scores, tag: str) -> "RankedList":
+        return cls.__new__(cls)._set_columns(request_id, ids, scores, tag)
+
+    def _set_columns(self, request_id: str, ids: Iterable[str], scores, tag: str) -> "RankedList":
+        scores = np.array(scores, dtype=np.float64)
+        # each score against the next and the last against -inf, so a nan anywhere fails
+        if not (scores >= np.append(scores[1:], -np.inf)).all():
             raise ValueError("ranked list scores must be non-increasing numbers")
-        if len(set(map(operator.itemgetter(0), self.entries))) != len(self.entries):
+        ids = tuple(ids)
+        if len(set(ids)) != len(ids):
             raise ValueError("ranked list doc ids must be unique")
+        scores.flags.writeable = False
+        self.request_id, self.ids, self.scores, self.tag = request_id, ids, scores, tag
+        return self
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        return list(zip(self.ids, self.scores.tolist()))
 
     def doc_ids(self) -> list[str]:
-        return [d for d, _s in self.entries]
+        return list(self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (self.request_id, self.entries, self.tag) == (other.request_id, other.entries, other.tag)
 
 
 class Index:
@@ -341,8 +365,7 @@ def search(
     """Score every document; top-k by score descending, doc id ascending,
     with leaf scores memoized in ``leaves`` (see the module docstring)."""
     top, scores = _top(idx, q, k, mu, leaves)
-    entries = list(zip([idx.doc_ids[i] for i in top.tolist()], scores.tolist()))
-    return RankedList(request_id, entries, tag)
+    return RankedList._from_columns(request_id, map(idx.doc_ids.__getitem__, top.tolist()), scores, tag)
 
 
 # -- pseudo-relevance feedback ------------------------------------------------
@@ -436,7 +459,7 @@ def is_run_id(text: str) -> bool:
 def write_trec_run(runs: Iterable[RankedList], out: IO[str]) -> None:
     """``qid Q0 docid rank score tag`` lines, rank from 1, 6-decimal scores."""
     for run in runs:
-        for rank, (doc_id, score) in enumerate(run.entries, start=1):
+        for rank, (doc_id, score) in enumerate(zip(run.ids, run.scores.tolist()), start=1):
             out.write(f"{run.request_id} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
 
 
@@ -446,8 +469,8 @@ def read_trec_run(path: str) -> list[RankedList]:
     A request whose rows repeat a doc id or whose scores rise with rank
     raises :class:`FormatError` with the line of its first row.
     """
-    per_qid: dict[str, list[tuple[int, str, float]]] = {}  # in order of first appearance
-    heads: dict[str, tuple[int, str]] = {}  # each request's first line and tag
+    # qid -> the request's first line, its tag and its rows, in order of first appearance
+    requests: dict[str, tuple[int, str, list[tuple[int, str, float]]]] = {}
     for lineno, line in lines(path):
         parts = line.split()
         if len(parts) != 6:
@@ -457,13 +480,12 @@ def read_trec_run(path: str) -> list[RankedList]:
             entry = (int(rank), doc_id, float(score))
         except ValueError as exc:
             raise FormatError(path, lineno, str(exc)) from None
-        per_qid.setdefault(qid, []).append(entry)
-        heads.setdefault(qid, (lineno, tag))
+        requests.setdefault(qid, (lineno, tag, []))[2].append(entry)
     runs = []
-    for qid, rows in per_qid.items():
-        lineno, tag = heads[qid]
+    for qid, (lineno, tag, rows) in requests.items():
+        _ranks, ids, scores = zip(*sorted(rows))
         try:
-            runs.append(RankedList(qid, [(d, s) for _r, d, s in sorted(rows)], tag))
+            runs.append(RankedList._from_columns(qid, ids, scores, tag))
         except ValueError as exc:  # a repeated doc id, or a score above the one ranked before
             raise FormatError(path, lineno, f"request {qid!r}: {exc}") from None
     return runs

@@ -150,6 +150,9 @@ merge_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
 @example(case=([["a", "b", "c"], ["d", "e"]], [5], 2))  # the first cutoff is above the total
 @example(case=([["a", "b"], ["b", "c", "d"], ["e", "f"]], [2, 3], 4))  # the cutoffs sum above it
 @example(case=([[], ["a"], []], [1, 1], 3))
+# above 2**53 a float subtraction total - rank rounds unlike float(total - rank)
+@example(case=([["a", "b", "c"], ["d", "e"]], [2], 2**53 + 1))
+@example(case=([["a", "b", "c"], ["d", "e"]], [2], 2**53 + 3))
 def test_merge_matches_oracle(case):
     ids, cutoffs, total = case
     merged = merge_lists([ranked("q", l) for l in ids], cutoffs, total)

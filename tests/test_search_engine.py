@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sqe.errors import DuplicateDocId, EmptyCollection, FormatError
+from sqe.pipeline import merge_lists
 from sqe.query_lang import MAX_DEPTH, Combine, Term, Weight, Window, parse, render
 from sqe.search_engine import (
     DEFAULT_MU,
@@ -253,6 +254,81 @@ def test_ranked_list_invariants():
     assert RankedList("q", [("a", 2.0), ("b", 2.0), ("c", 2.0)]).doc_ids() == ["a", "b", "c"]
     assert RankedList("q", [("a", 2.0)]).doc_ids() == ["a"]
     assert RankedList("q", []).doc_ids() == []
+    for score in (10**400, "1.5", None, 1j, [1.0]):  # not a real number, or past the float range
+        with pytest.raises(ValueError, match="scores must be non-increasing numbers"):
+            RankedList("q", [("a", score)])
+
+
+COLUMN_SCORES = [math.inf, 3.0, 1.5, 0.0, -0.0, -2.0, -math.inf, math.nan]
+
+
+def _ids_and_scores(n):
+    scores = st.lists(st.sampled_from(COLUMN_SCORES), min_size=n, max_size=n)
+    return st.tuples(
+        st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n),  # repeats allowed
+        st.one_of(scores, scores.map(lambda s: sorted(s, reverse=True))),  # nans land anywhere
+    )
+
+
+ranked_columns = st.integers(0, 6).flatmap(_ids_and_scores)
+
+
+def list_or_message(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=ranked_columns)
+@example(columns=([], []))
+@example(columns=(["a"], [math.nan]))
+@example(columns=(["a", "b"], [math.nan, 1.0]))
+@example(columns=(["a", "b"], [1.0, math.nan]))
+@example(columns=(["a", "b", "c"], [math.inf, 0.0, -math.inf]))
+@example(columns=(["a", "b", "c"], [1.5, 1.5, 1.5]))
+@example(columns=(["a", "b"], [1.0, 2.0]))
+@example(columns=(["a", "a"], [2.0, 1.0]))
+def test_list_from_columns_equals_list_from_tuples(columns):
+    ids, scores = columns
+    if not all(a >= b for a, b in zip(scores, scores[1:])) or any(map(math.isnan, scores)):
+        want = "ranked list scores must be non-increasing numbers"
+    elif len(set(ids)) != len(ids):
+        want = "ranked list doc ids must be unique"
+    else:
+        want = list(zip(ids, scores))
+    from_tuples = list_or_message(lambda: RankedList("q", list(zip(ids, scores)), "t"))
+    owned = np.array(scores, dtype=np.float64)
+    from_columns = list_or_message(lambda: RankedList._from_columns("q", ids, owned, "t"))
+    assert owned.flags.writeable  # the caller's array is not frozen
+    if isinstance(want, str):
+        assert from_tuples == from_columns == want
+        return
+    assert from_columns == from_tuples
+    assert from_columns.entries == from_tuples.entries == want
+    assert from_columns.doc_ids() == from_tuples.doc_ids() == ids
+    owned[:] = 7.0  # nor is it shared with the list
+    assert from_columns.entries == want
+    assert from_columns != RankedList("q", want, "other tag")
+    assert from_columns != RankedList("other", want, "t")
+
+
+def test_ranked_lists_are_immutable(tmp_path):
+    idx = build_index(docs_from([("d1", "x y"), ("d2", "x"), ("d3", "y")]))
+    found = search(idx, Term("x"), 10)
+    merged = merge_lists([found, search(idx, Term("y"), 10)], [1], 5)
+    path = tmp_path / "run.trec"
+    with open(path, "w") as out:
+        write_trec_run([merged], out)
+    (read,) = read_trec_run(str(path))
+    for ranked in (found, merged, read, RankedList("q", [("a", 1.0)])):
+        assert not ranked.scores.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ranked.scores[0] = 99.0
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ranked)
+    assert read == RankedList(merged.request_id, merged.entries, merged.tag)
 
 
 # -- pseudo-relevance feedback -------------------------------------------------
