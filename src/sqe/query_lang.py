@@ -83,8 +83,8 @@ class Weight:
         )
         if not self.entries:
             raise ValueError("weight needs at least one entry")
-        if not all(0 < w < math.inf for w, _c in self.entries):
-            raise ValueError("weights must be finite and strictly positive")
+        if not 0 < min(w for w, _c in self.entries) <= sum(w for w, _c in self.entries) < math.inf:
+            raise ValueError("weights must be finite and strictly positive, with a finite sum")
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,7 @@ class _Parser:
         return Term(raw.lower())
 
     def parse_operator(self, depth: int) -> QueryNode:
+        start = self.pos
         self.eat("#", "'#'")
         m = _WINDOW_SIZE.match(self.text, self.pos)
         if m and self.text[m.end() : m.end() + 1] == "(":
@@ -244,6 +245,8 @@ class _Parser:
         if self.text.startswith("weight", self.pos):
             self.pos += len("weight")
             entries = self.parse_operands("weight", "(weight, node) entry", lambda: self.parse_entry(depth))
+            if sum(w for w, _c in entries) == math.inf:
+                raise ParseError(start, "weights with a finite sum")
             return Weight(entries)
         raise self.error("'combine', 'weight' or a window size")
 

@@ -17,8 +17,8 @@ module, under the memo rule of :mod:`sqe.pipeline`.  ``search`` and
 make a fresh one when given none; entries are filled on first use and
 never changed once stored:
 
-* the ``Leaves`` dict itself: each term's and window's dense score
-  vector, keyed by ``(n, tokens)``, for one index and one ``mu``.
+* the ``Leaves`` dict itself: each term's and window's dense score vector,
+  a row of its query's leaf block, keyed by ``(n, tokens)``, for one index and one ``mu``.
 * ``Leaves.matches``: each multi-token window's match pairs, the
   document ordinals and counts where the count is above 0, keyed by
   ``(n, tokens)``, for one index.
@@ -32,7 +32,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,6 +127,8 @@ class Index:
         "collection_tf",
         "_doc_starts",
         "_doc_of",
+        "_lengths",
+        "_length_class",
         "_by_id",
         "_offsets",
         "_positions",
@@ -149,6 +151,7 @@ class Index:
         self.collection_tf = dict(zip(vocab, counts.tolist()))
         self._doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
         self._doc_of = np.repeat(np.arange(len(doc_ids)), self.doc_lengths)
+        self._lengths, self._length_class = np.unique(self.doc_lengths, return_inverse=True)
         by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         self._by_id = np.array(by_id, dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -234,70 +237,89 @@ def read_documents(path: str) -> Iterable[Document]:
         yield Document.from_text(doc_id, text)
 
 
-def _window_matches(idx: Index, n: int, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Document ordinals and counts of ordered position tuples with each gap
-    in [1, n], one pair per final-token occurrence that ends a match.
+LeafKey = tuple[int, tuple[str, ...]]  # (n, tokens), a term being (1, (token,))
+WindowMatches = dict[LeafKey, np.ndarray]  # read-only 2 x m arrays: document ordinals, then counts
 
-    A dynamic program over the tokens' global postings: ``ways[j]`` counts
-    the partial matches ending at the j-th kept occurrence of the current
-    token.  An occurrence at ``p`` extends the previous token's matches at
-    positions in ``[max(p - n, doc_start(p)), p - 1]``, so no match crosses
-    a document boundary; prefix sums give each range's total in one
-    ``searchsorted``.  Occurrences that end no partial match are dropped at
-    each step, so every returned count is above 0.
+
+def _window_matches(idx: Index, windows: Sequence[LeafKey]) -> list[np.ndarray]:
+    """Per window ``(n, tokens)``, a read-only 2 x m array: the document
+    ordinals and counts of ordered position tuples with each gap in [1, n],
+    one pair per final-token occurrence that ends a match.
+
+    A dynamic program over the global postings: ``ways[j]`` counts the partial
+    matches ending at the j-th kept occurrence ``p`` of the current token, which
+    extends the previous token's in ``[max(p - n, doc_start(p)), p - 1]``, in
+    its document.  Prefix sums total each range in one ``searchsorted`` for all
+    windows: slot ``s`` (longest first) codes ``p`` as ``s * (|C| + 1) + p``.
     """
-    prev = idx._postings(tokens[0])
-    ways = np.ones(prev.size, dtype=np.int64)
-    for tok in tokens[1:]:
-        cur = idx._postings(tok)
-        lowest = np.maximum(cur - n, idx._doc_starts[idx._doc_of[cur]])
-        prefix = np.concatenate(([0], np.cumsum(ways)))
-        ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
-        hit = ways > 0
-        prev, ways = cur[hit], ways[hit]
-    return idx._doc_of[prev], ways
+    span = idx.collection_length + 1
+    order = sorted(range(len(windows)), key=lambda i: -len(windows[i][1]))
+    found: list = [None] * len(windows)
+    live = len(order)  # slots 0..live-1 have a token at this step
+    for step in range(len(windows[order[0]][1]) if order else 0):
+        posts = [idx._postings(windows[i][1][step]) for i in order[:live]]
+        counts, pos = [p.size for p in posts], np.concatenate(posts)
+        cur = np.repeat(np.arange(live, dtype=np.int64) * span, counts) + pos
+        if step == 0:
+            ways = np.ones(cur.size, dtype=np.int64)
+        else:
+            ns = np.repeat([windows[i][0] for i in order[:live]], counts)
+            lowest = cur - np.minimum(ns, pos - idx._doc_starts[idx._doc_of[pos]])  # in the document
+            prefix = np.concatenate(([0], np.cumsum(ways)))
+            ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
+            cur, ways = cur[ways > 0], ways[ways > 0]  # so every count is above 0
+        ends = sum(len(windows[i][1]) > step + 1 for i in order)  # slots ends..live-1 end here
+        cuts = np.searchsorted(cur, np.arange(ends, live + 1) * span).tolist()
+        pairs = np.array((idx._doc_of[cur[cuts[0] :] % span], ways[cuts[0] :]))
+        pairs.flags.writeable = False  # the state's tail: each ending window's pairs are a view
+        for s, lo, hi in zip(range(ends, live), cuts, cuts[1:]):
+            found[order[s]] = pairs[:, lo - cuts[0] : hi - cuts[0]]
+        live, prev, ways = ends, cur[: cuts[0]], ways[: cuts[0]]
+    return found
 
 
-# (n, tokens) -> a read-only 2 x m array: document ordinals, then counts
-WindowMatches = dict[tuple[int, tuple[str, ...]], np.ndarray]
-
-
-def _window_tf(idx: Index, n: int, tokens: Sequence[str], matches: WindowMatches) -> np.ndarray:
-    """Per-document window match count, as floats over the ordinals.
-
-    ``matches`` memoizes the pairs of multi-token windows by ``(n, tokens)``
-    (see the module docstring); a term's count is cheaper to recompute.
-    """
-    if len(tokens) == 1:
-        docs, counts = _window_matches(idx, n, tokens)
-    else:
-        key = (n, tuple(tokens))
-        pairs = matches.get(key)
-        if pairs is None:  # one array per entry holds the memo's size down
-            pairs = np.array(_window_matches(idx, n, tokens))
-            pairs.flags.writeable = False
-            matches[key] = pairs
-        docs, counts = pairs
-    return np.bincount(docs, weights=counts, minlength=idx.n_docs)
+def _leaf_tf(idx: Index, keys: Sequence[LeafKey], matches: WindowMatches) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending codes ``row * n_docs + doc`` of the leaves ``keys``' matched
+    cells, and their counts; pairs new to ``matches`` are memoized there."""
+    new = [key for key in keys if key not in matches]
+    found = dict(zip(new, _window_matches(idx, new)))
+    matches.update((key, pair) for key, pair in found.items() if len(key[1]) > 1)  # a term's is cheap
+    pairs = [found[key] if key in found else matches[key] for key in keys]
+    docs, counts = np.concatenate(pairs, axis=1)
+    codes = docs + np.repeat(np.arange(len(keys)) * idx.n_docs, [pair.shape[1] for pair in pairs])
+    starts = np.flatnonzero(codes != np.concatenate(([-1], codes[:-1])))  # each distinct (row, doc)
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
 def window_tf(idx: Index, doc: str | int, n: int, tokens: Sequence[str]) -> int:
     """Window match count inside one document."""
-    window = Window(n, tokens)  # checks the size
-    return int(_window_tf(idx, n, window.tokens, {})[idx.ordinal(doc)])
+    codes, tf = _leaf_tf(idx, [(n, Window(n, tokens).tokens)], {})  # Window checks the size
+    return int(np.bincount(codes, weights=tf, minlength=idx.n_docs)[idx.ordinal(doc)])
 
 
-def _dirichlet(tf, cf: float, doc_lengths, collection_length: int, mu: float):
-    cf = cf if cf > 0 else UNSEEN_CF
-    return np.log((tf + mu * cf / collection_length) / (doc_lengths + mu))
+def _dirichlet(tf, cf, doc_lengths, collection_length: int, mu: float):
+    return np.log((tf + mu * np.maximum(cf, UNSEEN_CF) / collection_length) / (doc_lengths + mu))
+
+
+def _leaf_block(idx: Index, keys: Sequence[LeafKey], mu: float, matches: WindowMatches) -> np.ndarray:
+    """The leaves ``keys``' score vectors as the rows of one read-only block.  An
+    unmatched cell scores by its document's length alone, gathered from a table
+    by distinct length; ``0.0 + x == x``, so every cell gets the dense formula's bits."""
+    codes, tf = _leaf_tf(idx, keys, matches)
+    rows, docs = np.divmod(codes, idx.n_docs)
+    cf = np.bincount(rows, weights=tf, minlength=len(keys))
+    table = _dirichlet(0.0, cf[:, None], idx._lengths, idx.collection_length, mu)
+    block = table.take(idx._length_class, axis=1)  # C order: reshape(-1) is a view
+    block.reshape(-1)[codes] = _dirichlet(tf, cf[rows], idx.doc_lengths[docs], idx.collection_length, mu)
+    block.flags.writeable = False
+    return block
 
 
 class Leaves(dict):
-    """Leaf score vectors keyed by ``(n, tokens)``, a term being ``(1, (token,))``.
-
-    It must only ever see one index and one mu.  ``matches`` is its window
-    match memo for the same index: a batch's, which outlives this memo (see
-    the module docstring), or a fresh dict of its own.
+    """Leaf score vectors keyed by ``(n, tokens)``, for one index and one mu: the
+    leaves one query adds are built as one block, and each is a read-only row
+    view into it.  ``matches`` is its window match memo for the same index: a
+    batch's, which outlives this memo (see the module docstring), or its own.
     """
 
     __slots__ = ("matches",)
@@ -307,24 +329,36 @@ class Leaves(dict):
         self.matches = matches
 
 
-def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves) -> np.ndarray:
-    """Per-document log-belief of ``q``, memoized in ``leaves``."""
+def _leaf_nodes(q: QueryNode) -> Iterator[Term | Window]:
+    """``q``'s terms and windows, in tree order."""
     if isinstance(q, (Term, Window)):
-        key = (1, (q.token,)) if isinstance(q, Term) else (q.n, q.tokens)
-        vec = leaves.get(key)
-        if vec is None:
-            tf = _window_tf(idx, *key, leaves.matches)
-            vec = _dirichlet(tf, int(tf.sum()), idx.doc_lengths, idx.collection_length, mu)
-            vec.flags.writeable = False
-            leaves[key] = vec
-        return vec
+        yield q
+    elif isinstance(q, (Combine, Weight)):
+        for c in q.children if isinstance(q, Combine) else (c for _w, c in q.entries):
+            yield from _leaf_nodes(c)
+    else:
+        raise TypeError(f"not a query node: {q!r}")
+
+
+def _leaf_key(leaf: Term | Window) -> LeafKey:
+    return (1, (leaf.token,)) if isinstance(leaf, Term) else (leaf.n, leaf.tokens)
+
+
+def _belief(q: QueryNode, leaves: Leaves) -> np.ndarray:
     if isinstance(q, Combine):
-        parts = [_score_vector(idx, c, mu, leaves) for c in q.children]
-        return np.mean(parts, axis=0)
+        return np.mean([_belief(c, leaves) for c in q.children], axis=0)
     if isinstance(q, Weight):
         total = sum(w for w, _c in q.entries)
-        return sum(w / total * _score_vector(idx, c, mu, leaves) for w, c in q.entries)
-    raise TypeError(f"not a query node: {q!r}")
+        return sum(w / total * _belief(c, leaves) for w, c in q.entries)
+    return leaves[_leaf_key(q)]
+
+
+def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves) -> np.ndarray:
+    """Per-document log-belief of ``q``; the leaves it adds to ``leaves`` come first, as one block."""
+    new = [key for key in dict.fromkeys(map(_leaf_key, _leaf_nodes(q))) if key not in leaves]
+    if new:
+        leaves.update(zip(new, _leaf_block(idx, new, mu, leaves.matches)))
+    return _belief(q, leaves)
 
 
 def score_node(idx: Index, q: QueryNode, doc: str | int, mu: float = DEFAULT_MU) -> float:
@@ -383,15 +417,7 @@ def load_stopwords(path: str) -> frozenset[str]:
 
 
 def query_tokens(q: QueryNode) -> set[str]:
-    if isinstance(q, Term):
-        return {q.token}
-    if isinstance(q, Window):
-        return set(q.tokens)
-    if isinstance(q, Combine):
-        return set().union(*(query_tokens(c) for c in q.children))
-    if isinstance(q, Weight):
-        return set().union(*(query_tokens(c) for _w, c in q.entries))
-    raise TypeError(f"not a query node: {q!r}")
+    return {tok for leaf in _leaf_nodes(q) for tok in _leaf_key(leaf)[1]}
 
 
 def prf_expand(

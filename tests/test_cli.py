@@ -275,18 +275,19 @@ def test_search_builds_each_leaf_and_window_once(graffiti_index_file, tmp_path, 
         fresh[tuple(extra)] = expected.getvalue()
 
     calls = {"leaves": 0, "windows": 0}
-    dirichlet, window_matches = search_engine._dirichlet, search_engine._window_matches
+    leaf_block, window_matches = search_engine._leaf_block, search_engine._window_matches
 
-    def count_leaf(*args):
-        calls["leaves"] += 1
-        return dirichlet(*args)
+    def count_leaves(idx, keys, *args):
+        block = leaf_block(idx, keys, *args)
+        calls["leaves"] += block.shape[0]  # one row per leaf built
+        return block
 
-    def count_window(idx, n, tokens):
-        calls["windows"] += len(tokens) > 1
-        return window_matches(idx, n, tokens)
+    def count_windows(idx, windows):
+        calls["windows"] += sum(len(tokens) > 1 for _n, tokens in windows)
+        return window_matches(idx, windows)
 
-    monkeypatch.setattr(search_engine, "_dirichlet", count_leaf)
-    monkeypatch.setattr(search_engine, "_window_matches", count_window)
+    monkeypatch.setattr(search_engine, "_leaf_block", count_leaves)
+    monkeypatch.setattr(search_engine, "_window_matches", count_windows)
     assert main(["search", "--index", graffiti_index_file, "--queries", str(path)]) == 0
     assert capsys.readouterr().out == fresh[()]
     assert calls == {"leaves": 3 + 2, "windows": 1}  # "#1(street art)" is matched once
@@ -294,6 +295,14 @@ def test_search_builds_each_leaf_and_window_once(graffiti_index_file, tmp_path, 
     assert main(["search", "--index", graffiti_index_file, "--query", queries["1"], "--prf"]) == 0
     assert capsys.readouterr().out == fresh[("--prf",)]
     assert calls == {"leaves": 3 + 10, "windows": 1}  # the query's 3 leaves and 10 feedback terms
+
+
+def test_search_query_whose_weights_sum_past_the_float_range_exits_2(graffiti_index_file, capsys):
+    big = "1" + "0" * 308  # each weight is finite, their sum is not
+    query = f"#combine( banksy #weight( {big} banksy {big} stencil ) )"
+    assert main(["search", "--index", graffiti_index_file, "--query", query]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "sqe: error: at position 17: expected weights with a finite sum\n"
 
 
 @pytest.mark.parametrize("line, fault", [

@@ -30,7 +30,7 @@ from sqe.search_engine import (
     MAX_MU,
     Document,
     RankedList,
-    _window_tf,
+    _leaf_tf,
     build_index,
     prf_expand,
     search,
@@ -519,7 +519,8 @@ def test_batch_window_memo_holds_positive_multi_token_pairs(graffiti_graph, graf
         n, tokens = key
         assert isinstance(n, int) and isinstance(tokens, tuple) and len(tokens) > 1
         assert (counts > 0).all()
-        tf = _window_tf(idx, n, tokens, {})
+        cells, tf = _leaf_tf(idx, [key], {})
+        tf = np.bincount(cells, weights=tf, minlength=idx.n_docs)
         assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
         assert np.array_equal(np.bincount(ordinals, weights=counts, minlength=idx.n_docs), tf)
     keys = set(memo)

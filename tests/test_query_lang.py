@@ -79,6 +79,8 @@ PARSE_ERRORS = {
     "#1()": (3, "at least one token inside the window"),
     "#1(banksy (street)": (18, "')' closing the window phrase"),  # unclosed
     "#combine banksy": (8, "'(' after #combine"),
+    # each weight is 1e308, their sum is past the float range
+    f"#weight( 1{'0' * 308} banksy 1{'0' * 308} stencil )": (0, "weights with a finite sum"),
 }
 
 
@@ -252,6 +254,10 @@ def test_nodes_reject_numbers_that_do_not_fit():
     for w in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="weights must be finite"):
             Weight(((w, Term("a")),))
+    for entries in ([(1e308, Term("a")), (1e308, Term("b"))], [(1.0, Term("a")), (math.nan, Term("b"))]):
+        with pytest.raises(ValueError, match="with a finite sum"):
+            Weight(tuple(entries))
+    assert Weight(((1e308, Term("a")), (7e307, Term("b")))).entries[1][0] == 7e307  # a sum that fits
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])

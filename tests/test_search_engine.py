@@ -12,13 +12,16 @@ from sqe.pipeline import merge_lists
 from sqe.query_lang import MAX_DEPTH, Combine, Term, Weight, Window, parse, render
 from sqe.search_engine import (
     DEFAULT_MU,
+    UNSEEN_CF,
     Document,
     Leaves,
     RankedList,
     _dirichlet,
+    _leaf_block,
+    _leaf_tf,
     _score_vector,
     _top,
-    _window_tf,
+    _window_matches,
     build_index,
     default_stopwords,
     load_index,
@@ -511,6 +514,12 @@ def collection_of(token_lists):
     return [Document(f"d{7 * i % 11}", list(toks)) for i, toks in enumerate(token_lists)]
 
 
+def dense_tf(idx, n, tokens, matches):
+    """One window's match counts over the ordinals, through the batched path."""
+    codes, tf = _leaf_tf(idx, [(n, tuple(tokens))], matches)
+    return np.bincount(codes, weights=tf, minlength=idx.n_docs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(docs=collections, n=st.integers(1, 10), pattern=patterns)
 @example(docs=[["a"], ["b"]], n=3, pattern=["a", "b"])  # would straddle the boundary
@@ -519,10 +528,10 @@ def collection_of(token_lists):
 def test_window_tf_vector_matches_oracle(docs, n, pattern):
     idx = build_index(collection_of(docs))
     tf = [window_tf_oracle(toks, n, pattern) for toks in docs]
-    assert _window_tf(idx, n, pattern, {}).tolist() == tf
+    assert dense_tf(idx, n, pattern, {}).tolist() == tf
     matches = {}  # a miss, then a hit
-    assert _window_tf(idx, n, pattern, matches).tolist() == tf
-    assert _window_tf(idx, n, pattern, matches).tolist() == tf
+    assert dense_tf(idx, n, pattern, matches).tolist() == tf
+    assert dense_tf(idx, n, pattern, matches).tolist() == tf
     assert len(matches) == (len(pattern) > 1)
     assert [window_tf(idx, i, n, pattern) for i in range(len(docs))] == tf
     if idx.collection_length:
@@ -674,12 +683,121 @@ def test_shared_window_match_memo_matches_fresh_searches(docs, qs, k):
     windows = {key for q in qs for key in leaf_keys(q) if len(key[1]) > 1}
     assert set(matches) == windows  # multi-token windows only, keyed with their size
     for (n, tokens), (ordinals, counts) in matches.items():
-        tf = _window_tf(idx, n, tokens, {})
+        tf = dense_tf(idx, n, tokens, {})
         assert ordinals.shape == counts.shape == (ordinals.size,)
         assert (counts > 0).all()  # no zero-count pair, so no dense vector
         assert np.array_equal(np.unique(ordinals), np.flatnonzero(tf))
         assert np.array_equal(np.bincount(ordinals, weights=counts, minlength=idx.n_docs), tf)
         assert not ordinals.flags.writeable and not counts.flags.writeable
+
+
+# -- one leaf block per query, from one batched window DP ----------------------
+
+
+def window_matches_loop(idx, n, tokens):
+    """One window's match pairs by the per-window dynamic program that the batched one replaced."""
+    prev = idx._postings(tokens[0])
+    ways = np.ones(prev.size, dtype=np.int64)
+    for tok in tokens[1:]:
+        cur = idx._postings(tok)
+        lowest = np.maximum(cur - n, idx._doc_starts[idx._doc_of[cur]])
+        prefix = np.concatenate(([0], np.cumsum(ways)))
+        ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
+        hit = ways > 0
+        prev, ways = cur[hit], ways[hit]
+    return idx._doc_of[prev], ways
+
+
+_SIZES = st.sampled_from([1, 2, 10, 2**62]) | st.integers(1, 12)  # 10 and up: past every document
+
+
+@st.composite
+def window_lists(draw):
+    """Windows of 1 to 5 tokens ("z" is in no document), some of them prefixes of one
+    token list, with one window listed twice, in any order."""
+    stem = draw(st.lists(st.sampled_from(QUERY_TOKENS), min_size=1, max_size=5))
+    windows = [(draw(_SIZES), tuple(stem[:size])) for size in draw(st.lists(st.integers(1, len(stem))))]
+    windows += draw(st.lists(st.tuples(_SIZES, st.lists(st.sampled_from(QUERY_TOKENS), min_size=1,
+                                                        max_size=5).map(tuple)), max_size=5))
+    assume(windows)
+    windows.append(draw(st.sampled_from(windows)))
+    return draw(st.permutations(windows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=collections, windows=window_lists())
+@example(docs=[["b", "b", "c"], [], ["c", "b", "b"]],
+         windows=[(1, ("b", "b")), (2**62, ("b", "b", "c")), (1, ("b",)), (7, ("z", "b")),
+                  (3, ("b", "b", "c", "b", "b")), (1, ("b", "b"))])
+@example(docs=[[], []], windows=[(1, ("b", "c")), (1, ("b", "c"))])  # no tokens at all
+def test_batched_window_dp_equals_the_per_window_loop(docs, windows):
+    idx = build_index(collection_of(docs))
+    found = _window_matches(idx, windows)
+    assert len(found) == len(windows)
+    for (n, tokens), pair in zip(windows, found):
+        want_docs, want_ways = window_matches_loop(idx, n, tokens)
+        assert pair.shape == (2, want_docs.size) and not pair.flags.writeable
+        assert pair[0].tolist() == want_docs.tolist()
+        assert pair[1].tolist() == want_ways.tolist()
+
+
+def dense_leaf(docs, idx, key, mu):
+    """One leaf's score vector built alone: the dense formula over every document."""
+    n, tokens = key
+    tf = [window_tf_oracle(toks, n, tokens) for toks in docs]
+    cf = sum(tf) if sum(tf) > 0 else UNSEEN_CF
+    return np.log((np.array(tf, dtype=float) + mu * cf / idx.collection_length) / (idx.doc_lengths + mu))
+
+
+# documents of one length, from empty upwards
+even_collections = st.integers(0, 5).flatmap(
+    lambda m: st.lists(st.lists(st.sampled_from(DOC_TOKENS), min_size=m, max_size=m), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=collections | even_collections, qs=st.lists(queries, min_size=1, max_size=3),
+       mu=st.sampled_from([5e-324, 0.37, 2500.0, 1e6]))
+@example(docs=[["b", "c", "b"]], qs=[Combine((Term("b"), Window(1, ("c", "b")), Term("z")))], mu=0.37)
+@example(docs=[[], ["c"], []], qs=[Term("z"), Term("c")], mu=5e-324)  # 5e-324: -inf, as documented
+def test_leaf_block_rows_equal_dense_leaves_bit_for_bit(docs, qs, mu):
+    idx = build_index(collection_of(docs))
+    assume(idx.collection_length > 0)
+    memo = Leaves({})
+    with np.errstate(divide="ignore"):  # log(0) where mu * cf / |C| underflows
+        # the last query repeats each key of the first, and all its keys are in the memo by then
+        for q in [*qs, Combine((qs[0], qs[0]))]:
+            before = dict(memo)
+            _score_vector(idx, q, mu, memo)
+            assert all(memo[key] is row for key, row in before.items())  # stored rows stay
+        assert len(memo) == len(set().union(*(leaf_keys(q) for q in qs)))
+        want = {key: dense_leaf(docs, idx, key, mu) for key in memo}
+        keys = [*memo, next(iter(memo))]  # a block may hold a key twice
+        block = _leaf_block(idx, keys, mu, {})
+    for key, row in memo.items():
+        assert row.view(np.int64).tolist() == want[key].view(np.int64).tolist(), key
+        assert not row.flags.writeable and row.base is not None  # a view into its block
+    assert block.shape == (len(keys), idx.n_docs) and not block.flags.writeable
+    assert block.view(np.int64).tolist() == np.array([want[k] for k in keys]).view(np.int64).tolist()
+
+
+def test_log_bits_do_not_depend_on_where_an_element_sits():
+    """A leaf block takes ``np.log`` over a 2-D block, where the dense formula took it over
+    one leaf's 1-D vector; their bits agree only if numpy's log gives an element the same
+    bits in any row of a block and at any alignment in an array of its own."""
+    rng = np.random.default_rng(24)
+    with np.errstate(divide="ignore"):
+        for _ in range(300):
+            rows, cols = int(rng.integers(1, 6)), 2 * int(rng.integers(0, 100)) + 1
+            offset, shift = (int(rng.choice([o for o in range(1, 24) if o % 8])) for _ in "os")
+            buf = np.empty(offset + rows * cols)
+            block = buf[offset:].reshape(rows, cols)
+            block[...] = np.exp(rng.uniform(-750.0, 5.0, (rows, cols)))  # subnormals and 0 too
+            logs = np.log(block)
+            for r in range(rows):
+                alone = np.empty(shift + cols)
+                alone[shift:] = block[r]
+                assert logs[r].view(np.int64).tolist() == np.log(alone[shift:]).view(np.int64).tolist()
+                assert logs[r].view(np.int64).tolist() == np.log(block[r].copy()).view(np.int64).tolist()
 
 
 def test_default_stopwords_read_once():
