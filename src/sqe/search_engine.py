@@ -130,6 +130,7 @@ class Index:
         "_lengths",
         "_length_class",
         "_by_id",
+        "_by_term",
         "_offsets",
         "_positions",
     )
@@ -154,6 +155,7 @@ class Index:
         self._lengths, self._length_class = np.unique(self.doc_lengths, return_inverse=True)
         by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         self._by_id = np.array(by_id, dtype=np.int64)
+        self._by_term = np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
         self._positions = np.argsort(self.tokens, kind="stable")
 
@@ -355,6 +357,8 @@ def _belief(q: QueryNode, leaves: Leaves) -> np.ndarray:
 
 def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves) -> np.ndarray:
     """Per-document log-belief of ``q``; the leaves it adds to ``leaves`` come first, as one block."""
+    if idx.collection_length == 0:
+        raise EmptyCollection("the collection has no tokens; scores are undefined")
     new = [key for key in dict.fromkeys(map(_leaf_key, _leaf_nodes(q))) if key not in leaves]
     if new:
         leaves.update(zip(new, _leaf_block(idx, new, mu, leaves.matches)))
@@ -363,9 +367,14 @@ def _score_vector(idx: Index, q: QueryNode, mu: float, leaves: Leaves) -> np.nda
 
 def score_node(idx: Index, q: QueryNode, doc: str | int, mu: float = DEFAULT_MU) -> float:
     """Log-belief of one document under one query node."""
-    if idx.n_docs == 0 or idx.collection_length == 0:
-        raise EmptyCollection("cannot score against an empty collection")
     return float(_score_vector(idx, q, mu, Leaves({}))[idx.ordinal(doc)])
+
+
+def _best(neg: np.ndarray, k: int) -> np.ndarray:
+    """The positions of ``neg``'s k least entries, least first, ties in position
+    order: ``np.argsort(neg, kind="stable")[:k]``, sorting only what ties or beats the k-th least."""
+    kept = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1]) if k < neg.size else np.arange(neg.size)
+    return kept[np.argsort(neg[kept], kind="stable")[:k]]
 
 
 def _top(
@@ -376,14 +385,8 @@ def _top(
         raise ValueError("k must be >= 1")
     if idx.n_docs == 0:
         return idx._by_id, np.zeros(0)
-    if idx.collection_length == 0:
-        raise EmptyCollection("collection has documents but no tokens; scores are undefined")
     scores = _score_vector(idx, q, mu, Leaves({}) if leaves is None else leaves)
-    by_id = idx._by_id  # a stable sort keeps doc id order among equal scores
-    neg = -scores[by_id]
-    m = min(k, neg.size)  # sort only what ties or beats the m-th best, ties kept in id order
-    kept = np.flatnonzero(neg <= np.partition(neg, m - 1)[m - 1])
-    top = by_id[kept[np.argsort(neg[kept], kind="stable")[:k]]]
+    top = idx._by_id[_best(-scores[idx._by_id], k)]
     return top, scores[top]
 
 
@@ -462,14 +465,11 @@ def prf_expand(
         t = idx._term_ids.get(tok)
         if t is not None:
             weights[t] = 0.0
-    candidates = np.flatnonzero(weights).tolist()  # a share that underflows to 0 adds no term
-    if not candidates:
+    by_term = idx._by_term[weights[idx._by_term] != 0]  # a share that underflows to 0 adds no term
+    if not by_term.size:
         return q
-    best = sorted(
-        ((idx.vocab[t], w) for t, w in zip(candidates, weights[candidates].tolist())),
-        key=lambda e: (-e[1], e[0]),
-    )[:fb_terms]
-    feedback = Weight(tuple((w, Term(t)) for t, w in best))
+    best = by_term[_best(-weights[by_term], fb_terms)]
+    feedback = Weight(tuple((w, Term(idx.vocab[t])) for t, w in zip(best.tolist(), weights[best].tolist())))
     return Weight(((orig_weight, q), (1.0 - orig_weight, feedback)))
 
 
