@@ -38,7 +38,6 @@ class EntityLinker:
     def __init__(self, g: KBGraph, max_ngram: int = 8, stop_titles: set[str] | None = None):
         if max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
-        self.graph = g
         self.max_ngram = max_ngram
         stop = stop_titles or set()
         phrases: dict[tuple[str, ...], NodeId] = {}

@@ -22,6 +22,8 @@ load so that motif counting is well-defined.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -30,7 +32,7 @@ import numpy as np
 
 from .archive import ArchiveFormat
 from .errors import FormatError, KindMismatch, NotAnArticle, NotACategory
-from .text import normalize_title, open_text
+from .text import lines, normalize_title, open_text
 
 NodeId = int
 
@@ -341,9 +343,20 @@ def build_graph(nodes: Sequence[tuple[str, str, str]],
 
 
 def _read_tsv(path: str) -> list[tuple[str, ...]]:
+    """The rows of the lines that ``text.lines`` yields: blank and whitespace-only ones are skipped."""
     with open_text(path) as fh:  # universal newlines: no "\r" is left
-        # an empty line is a row of no columns, so line numbers stay aligned
-        return [tuple(raw.rstrip("\n").split("\t")) if raw != "\n" else () for raw in fh]
+        return [tuple(raw.rstrip("\n").split("\t")) for raw in fh if not raw.isspace()]
+
+
+@contextlib.contextmanager
+def _at_file_line():
+    """Re-raise a fault of a ``_read_tsv`` row, numbered from 1, at the row's line in its
+    file, which is read again for it: only a fault pays for skipping blank lines."""
+    try:
+        yield
+    except FormatError as exc:
+        lineno, _line = next(itertools.islice(lines(exc.path), exc.line - 1, None))
+        raise type(exc)(exc.path, lineno, exc.reason) from None
 
 
 def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
@@ -355,10 +368,17 @@ def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
     :class:`FormatError` (:class:`KindMismatch` for endpoint kinds) with its
     line: first the first bad node row, then the earliest edge row that does
     not parse or breaks an edge rule, then a title repeated within a kind.
+    Blank and whitespace-only lines are skipped, as ``text.lines`` skips them.
     """
-    ids, kinds, titles = _make_nodes(_read_tsv(nodes_path), nodes_path)
-    edges = _make_edges(_read_tsv(edges_path), ids, kinds, edges_path)
-    return _graph(ids, kinds, titles, edges, nodes_path)
+    rows = _read_tsv(nodes_path)  # outside _at_file_line: an undecodable byte has its line
+    with _at_file_line():
+        ids, kinds, titles = _make_nodes(rows, nodes_path)
+    del rows  # each file's rows go once parsed: held on, they would raise the peak memory
+    rows = _read_tsv(edges_path)
+    with _at_file_line():
+        edges = _make_edges(rows, ids, kinds, edges_path)
+        del rows
+        return _graph(ids, kinds, titles, edges, nodes_path)
 
 
 def save_snapshot(g: KBGraph, path: str) -> None:

@@ -7,8 +7,11 @@ when a pattern never occurs, so beliefs stay finite while
 ``mu * cf / |C|`` does not underflow to 0; below that a document without
 the pattern scores -inf), ``#combine`` averages and ``#weight`` takes a
 weight-normalized sum.  Scoring is exhaustive over the collection, which
-keeps the ranking contract exact.  A ``RankedList`` is two columns, the
-doc ids and a read-only float64 score array, checked once where built.
+keeps the ranking contract exact.  One selection, ``_best``, picks every
+top-k: documents by score, ties in doc id order (``Index._by_id``), and
+feedback terms by weight, ties in term order (``Index._by_term``).  A
+``RankedList`` is two columns, the doc ids and a read-only float64 score
+array, checked once where built.
 
 Indexes are immutable after build.  Work shared between searches lives
 in memos that belong to the caller, never to ``Index`` or to this
@@ -110,7 +113,8 @@ class Index:
     The collection is one term-id array, ``tokens``, in token order;
     document ``d`` covers ``doc_lengths[d]`` tokens from ``_doc_starts[d]``,
     so a token's global position is ``_doc_starts[doc] + pos``; ``_by_id``
-    lists the ordinals in doc id order.  Postings are
+    lists the ordinals in doc id order, and ``_by_term`` the term ids in term
+    order.  Postings are
     CSR over global positions: term ``t`` occurs, in ascending order, at
     ``_positions[_offsets[t]:_offsets[t + 1]]``.  Term ids follow first
     appearance, and everything is fixed at construction.

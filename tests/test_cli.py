@@ -202,7 +202,7 @@ def test_run_merge_eval_ttest_round(tmp_path, graffiti_kb, graffiti_index_file, 
     )
     assert code == 0
     report_path = str(run_path) + ".report.tsv"
-    report_lines = open(report_path).read().splitlines()
+    report_lines = Path(report_path).read_text().splitlines()
     assert report_lines[0].startswith("qid\tentities\tfallback")
     assert len(report_lines) == 3
 

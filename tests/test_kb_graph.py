@@ -140,6 +140,35 @@ def test_duplicate_title_names_the_later_row(tmp_path):
     assert err.value.line == 4 and f"{path}:" in str(err.value)
 
 
+def write_spaced_tsv(path, rows):
+    """``rows`` as TSV lines, each after a blank or whitespace-only line, and two more
+    such lines at the end: row ``i`` (from 0) is line ``2 * i + 2``."""
+    blanks = ["", " ", "\t", " \t "]
+    text = "".join(f"{blanks[i % 4]}\n" + "\t".join(row) + "\n" for i, row in enumerate(rows))
+    path.write_text(text + "\n\t\n", encoding="utf-8")
+    return str(path)
+
+
+def test_blank_lines_are_skipped_and_faults_keep_their_file_line(tmp_path):
+    plain = load_graph(write_tsv(tmp_path / "n.tsv", MINI_NODES), write_tsv(tmp_path / "e.tsv", MINI_EDGES))
+    nodes = write_spaced_tsv(tmp_path / "n2.tsv", MINI_NODES)
+    _assert_same_graph(load_graph(nodes, write_spaced_tsv(tmp_path / "e2.tsv", MINI_EDGES)), plain)
+    # a bad third row, found by each check that raises, is reported at line 6
+    for nodes_rows, edge_rows, fault in [
+        (MINI_NODES[:2] + [("3", "Q", "Things")], [], FormatError),
+        (MINI_NODES[:2] + [("4", "A", "alpha")], [], FormatError),  # a repeated title, found last
+        (MINI_NODES, MINI_EDGES[:2] + [("1", "3")], FormatError),
+        (MINI_NODES, MINI_EDGES[:2] + [("1", "1", "AA")], FormatError),
+        (MINI_NODES, MINI_EDGES[:2] + [("1", "3", "AA")], KindMismatch),
+    ]:
+        nodes = write_spaced_tsv(tmp_path / "n3.tsv", nodes_rows)
+        edges = write_spaced_tsv(tmp_path / "e3.tsv", edge_rows)
+        with pytest.raises(FormatError) as err:
+            load_graph(nodes, edges)
+        assert type(err.value) is fault and err.value.line == 6
+        assert str(err.value).startswith(f"line 6: {edges if edge_rows else nodes}: ")
+
+
 def test_duplicate_edge_rows_dedup(tmp_path):
     # oracle: the file has 5 edge rows but only 4 distinct ones
     rows = MINI_EDGES + [("1", "2", "AA")]

@@ -16,6 +16,7 @@ from sqe.search_engine import (
     Document,
     Leaves,
     RankedList,
+    _best,
     _dirichlet,
     _leaf_block,
     _leaf_tf,
@@ -847,3 +848,89 @@ def test_partition_top_k_equals_full_stable_argsort(case):
         top, top_scores = _top(idx, Term("x"), k, DEFAULT_MU, leaves)
         assert top.tolist() == full[:k].tolist()
         assert np.array_equal(top_scores, scores[full[:k]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(_SCORE_VALUES, max_size=30), k=st.integers(1, 35))
+@example(drawn=[], k=1)
+@example(drawn=[-3.5, -3.5, -1.0, -3.5], k=2)  # the k-th least ties entries past it
+def test_best_equals_the_stable_argsort_prefix(drawn, k):
+    neg = -np.array(drawn)  # +inf too
+    assert _best(neg, k).tolist() == np.argsort(neg, kind="stable")[:k].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(st.lists(st.text("abzAé_", min_size=1, max_size=3), max_size=6), max_size=5))
+@example(docs=[])
+@example(docs=[[], []])  # documents, but no vocabulary
+def test_by_term_lists_term_ids_in_term_order(docs, tmp_path_factory):
+    idx = build_index(collection_of(docs))
+    want = [idx.vocab.index(t) for t in sorted(idx.vocab)]
+    assert idx._by_term.dtype == np.int64 and idx._by_term.tolist() == want
+    path = str(tmp_path_factory.mktemp("index") / "idx.npz")
+    save_index(idx, path)
+    assert load_index(path)._by_term.tolist() == want
+
+
+def prf_expand_full_sort(idx, q, fb_docs, fb_terms, orig_weight, stopwords, mu):
+    """``prf_expand`` as it chose its terms before ``_best``: a Python sort of every
+    candidate by ``(-weight, term)``, then a slice."""
+    if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
+        return q
+    top, scores = _top(idx, q, fb_docs, mu, None)
+    if scores[0] == -math.inf:
+        return q
+    soft = np.exp(scores - scores.max())
+    soft /= soft.sum()
+    excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
+    weights = np.zeros(len(idx.vocab))
+    for rank, ordinal in enumerate(top.tolist()):
+        dlen = int(idx.doc_lengths[ordinal])
+        if not dlen:
+            continue
+        start = idx._doc_starts[ordinal]
+        terms, tf = np.unique(idx.tokens[start : start + dlen], return_counts=True)
+        weights[terms] += soft[rank] * tf / dlen
+    for tok in excluded:
+        t = idx._term_ids.get(tok)
+        if t is not None:
+            weights[t] = 0.0
+    candidates = np.flatnonzero(weights).tolist()
+    if not candidates:
+        return q
+    best = sorted(
+        ((idx.vocab[t], w) for t, w in zip(candidates, weights[candidates].tolist())),
+        key=lambda e: (-e[1], e[0]),
+    )[:fb_terms]
+    feedback = Weight(tuple((w, Term(t)) for t, w in best))
+    return Weight(((orig_weight, q), (1.0 - orig_weight, feedback)))
+
+
+FEEDBACK_TOKENS = [*DOC_TOKENS, "d", "e", "f", "g"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(st.lists(st.sampled_from(FEEDBACK_TOKENS), max_size=8), min_size=1, max_size=5),
+    copies=st.integers(1, 2),  # repeated documents tie their scores, so their terms' shares
+    q=queries,
+    fb_docs=st.integers(1, 12),
+    fb_terms=st.sampled_from([1, 2, 3, 10]),  # 10: more than there are candidates
+    # 1e-320: a feedback document's share times P(t|d) can underflow to 0; 5e-324: scores of -inf
+    mu=st.sampled_from([DEFAULT_MU, 1.0, 1e-300, 1e-320, 5e-324]),
+    stopwords=st.none() | st.frozensets(st.sampled_from(FEEDBACK_TOKENS)),
+)
+@example(docs=[["the", "of"], ["b", "a"], []], copies=1, q=Term("b"), fb_docs=3, fb_terms=10,
+         mu=DEFAULT_MU, stopwords=None)  # only stopwords and query tokens: no candidate
+@example(docs=[["b", "c", "d"], ["e"] + ["f"] * 40], copies=1, q=Term("b"), fb_docs=2, fb_terms=10,
+         mu=1e-320, stopwords=frozenset())  # "e"'s weight underflows to 0, "f"'s does not
+@example(docs=[["b", "c", "d"], ["e", "d", "c"]], copies=1, q=Term("z"), fb_docs=2, fb_terms=1,
+         mu=DEFAULT_MU, stopwords=frozenset())  # "c" and "d" tie at the top, "b" and "e" below
+def test_prf_terms_equal_the_full_sort(docs, copies, q, fb_docs, fb_terms, mu, stopwords):
+    idx = build_index(collection_of(docs * copies))
+    assume(idx.collection_length > 0)
+    with np.errstate(divide="ignore"):  # log(0) where mu * cf / |C| underflows
+        got = prf_expand(idx, q, fb_docs, fb_terms, 0.5, stopwords, mu)
+        want = prf_expand_full_sort(idx, q, fb_docs, fb_terms, 0.5, stopwords, mu)
+    assert got == want
+    assert (got is q) == (want is q)

@@ -86,9 +86,9 @@ LINE_READERS = {
     "runs-score": (read_trec_run, "b1 Q0 d1 1 1.0 x\n\nb1 Q0 d2 2 high x\n",
                    "could not convert string to float: 'high'"),
     "qrels-grade": (Qrels.load, "b1 0 d1 1\n\nb1 0 d2 -1\n", "negative relevance -1"),
-    "nodes-columns": (_load_nodes, "1\tA\tX\n2\tA\tY\n3\tA\n", "expected 3 columns, got 2"),
-    "nodes-title": (_load_nodes, "1\tA\tX\n2\tA\tY\n3\tA\t \n", "empty title"),
-    "edges": (_load_edges, "1\t2\tAA\n2\t3\tAC\n1\t2\tAC\n",
+    "nodes-columns": (_load_nodes, "1\tA\tX\n\n3\tA\n", "expected 3 columns, got 2"),
+    "nodes-title": (_load_nodes, "1\tA\tX\n \t\n3\tA\t \n", "empty title"),
+    "edges": (_load_edges, "1\t2\tAA\n\n1\t2\tAC\n",
               "edge kind contradicts endpoint kinds (AC needs A->C, got A->A)"),
 }
 
