@@ -122,10 +122,11 @@ def cmd_ingest(args) -> int:
         print(f"snapshot written to {args.out}", file=sys.stderr)
     report = g.validate()
     print(report.summary())
-    for warning in report.warnings[:20]:
+    warnings = report.warnings  # built on each read
+    for warning in warnings[:20]:
         print(f"warning: {warning}", file=sys.stderr)
-    if len(report.warnings) > 20:
-        print(f"warning: ... {len(report.warnings) - 20} more", file=sys.stderr)
+    if len(warnings) > 20:
+        print(f"warning: ... {len(warnings) - 20} more", file=sys.stderr)
     return 0
 
 

@@ -11,13 +11,16 @@ Adjacency is one CSR table, the link table: node ``i``'s row is the slice
 neighbors over every edge kind and both directions, sorted; how many
 stored edges join ``i`` to each; and an out flag, true where an edge
 leaves ``i`` toward that neighbor.  The endpoint kinds fix an edge's
-kind, so out flags and node kinds give every directed, per-kind row.
-Nodes are columns: node ``i``'s title, normalized title and external id
-are entry ``i`` of three tuples, and one bool per node, true for a
-category, is the only store of its kind.  A :class:`KBGraph` is
-immutable once built and holds no :class:`KBNode`; it builds one on
-read.  Parallel edges between the same ordered pair are deduplicated on
-load so that motif counting is well-defined.
+kind: every loader rejects C->A, so a kind's index in :class:`EdgeKind`
+is its number of category ends, and one pass over the out flags gives
+every kind's directed edges.  Every loader hands the table build one
+``(src, dst)`` array.  Nodes are columns: node ``i``'s title, normalized
+title and external id are entry ``i`` of three tuples, and one bool per
+node, true for a category, is the only store of its kind.  A
+:class:`KBGraph` is immutable once built, its arrays read-only, and
+holds no :class:`KBNode`; it builds one on read.  Parallel edges between
+the same ordered pair are deduplicated on load so that motif counting is
+well-defined.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class ValidationReport:
             f"categories\t{self.n_categories}",
         ]
         lines += [f"edges_{k.value}\t{self.edge_counts[k]}" for k in EdgeKind]
-        lines.append(f"warnings\t{len(self.warnings)}")
+        lines.append(f"warnings\t{len(self.articles_without_category) + len(self.orphan_categories)}")
         return "\n".join(lines)
 
 
@@ -103,6 +106,10 @@ class KBGraph:
     _title_index: dict[tuple[str, str], NodeId]  # (kind letter, normalized title) -> node
     _links: tuple[memoryview, np.ndarray, np.ndarray, np.ndarray]
     _is_category: np.ndarray  # one bool per node, the only store of node kind
+
+    def __post_init__(self):
+        for column in (*self._links[1:], self._is_category):
+            column.flags.writeable = False  # immutable: a write raises ValueError
 
     def __len__(self) -> int:
         return len(self._titles)
@@ -145,13 +152,11 @@ class KBGraph:
         indptr, neighbors, _counts, out = self._links
         lo, hi = indptr[i], indptr[i + 1]
         row = neighbors[lo:hi][out[lo:hi]]
-        if self._is_category[i] != (kind is EdgeKind.CC):  # the source kind does not fit
-            return row[:0]
-        return row[self._is_category[row] == (kind is not EdgeKind.AA)]
+        return row[self._kinds(i, row) == list(EdgeKind).index(kind)]
 
     def links(self, i: NodeId) -> tuple[np.ndarray, np.ndarray]:
         """``i``'s distinct neighbors over every edge kind and direction, sorted,
-        and how many stored edges join ``i`` to each (>= 1). Do not mutate."""
+        and how many stored edges join ``i`` to each (>= 1), as read-only views."""
         indptr, neighbors, counts, _out = self._links
         lo, hi = indptr[i], indptr[i + 1]
         return neighbors[lo:hi], counts[lo:hi]
@@ -170,16 +175,19 @@ class KBGraph:
         return row[self._is_category[row]]
 
     def edge_count(self, kind: EdgeKind) -> int:
-        return len(self._edges(kind)[0])
+        return len(self._edges()[kind][0])
 
-    def _edges(self, kind: EdgeKind) -> tuple[np.ndarray, np.ndarray]:
-        """``kind``'s int32 ``(src, dst)`` columns, ordered by source, then destination."""
+    def _kinds(self, src, dst) -> np.ndarray:
+        """Each edge's index in ``EdgeKind``: its number of category ends, as every loader rejects C->A."""
+        return self._is_category[src].astype(np.int8) + self._is_category[dst]  # bool + bool is or
+
+    def _edges(self) -> dict[EdgeKind, tuple[np.ndarray, np.ndarray]]:
+        """Each kind's int32 ``(src, dst)`` columns, by source, then destination, from one table read."""
         indptr, neighbors, _counts, out = self._links
         src = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(indptr))[out]
         dst = neighbors[out]
-        fits = ((self._is_category[src] == (kind is EdgeKind.CC))
-                & (self._is_category[dst] == (kind is not EdgeKind.AA)))
-        return src[fits], dst[fits]
+        kinds = self._kinds(src, dst)
+        return {k: (src[kinds == i], dst[kinds == i]) for i, k in enumerate(EdgeKind)}
 
     # -- spec operations ---------------------------------------------------
 
@@ -214,13 +222,13 @@ class KBGraph:
 
     def validate(self) -> ValidationReport:
         """Count nodes and edges by kind and collect structural warnings."""
-        is_article = ~self._is_category
-        no_cat = is_article & (np.bincount(self._edges(EdgeKind.AC)[0], minlength=is_article.size) == 0)
+        is_article, edges = ~self._is_category, self._edges()
+        no_cat = is_article & (np.bincount(edges[EdgeKind.AC][0], minlength=is_article.size) == 0)
         no_edge = ~is_article & (np.diff(self._links[0]) == 0)
         return ValidationReport(
             n_articles=int(is_article.sum()),
             n_categories=int((~is_article).sum()),
-            edge_counts={k: self.edge_count(k) for k in EdgeKind},
+            edge_counts={k: len(src) for k, (src, _dst) in edges.items()},
             articles_without_category=np.flatnonzero(no_cat).tolist(),
             orphan_categories=np.flatnonzero(no_edge).tolist(),
         )
@@ -245,8 +253,8 @@ def _link_table(edges: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray
 
 
 def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
-           edges_by_kind: dict[EdgeKind, np.ndarray], source: str = "nodes") -> KBGraph:
-    """The graph over :func:`_make_nodes` columns and each edge kind's ``(src, dst)`` id pairs.
+           edges: np.ndarray, source: str = "nodes") -> KBGraph:
+    """The graph over :func:`_make_nodes` columns and the edges' ``(src, dst)`` id pairs.
     Each title is normalized here, once; a node that repeats an earlier
     normalized title of its kind raises with its line in ``source``."""
     normalized = tuple(map(normalize_title, titles))
@@ -254,14 +262,14 @@ def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
     for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), normalized)):
         if title_index.setdefault(key, i) != i:
             raise FormatError(source, i + 1, f"duplicate normalized title {key[1]!r} for kind {key[0]}")
-    edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
     is_category = kinds == ord(NodeKind.CATEGORY.value)
     return KBGraph(titles, normalized, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
 
 
 def _assemble(nodes: Sequence[KBNode], edges_by_kind: dict[EdgeKind, np.ndarray]) -> KBGraph:
     """The graph over ``KBNode`` rows in id order; they get the checks node rows get."""
-    return _graph(*_make_nodes([(n.ext_id, n.kind.value, n.title) for n in nodes], "nodes"), edges_by_kind)
+    edges = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in edges_by_kind.values()])
+    return _graph(*_make_nodes([(n.ext_id, n.kind.value, n.title) for n in nodes], "nodes"), edges)
 
 
 def _edge_fault(kinds, src, dst, want_src, want_dst) -> tuple[int, str] | None:
@@ -304,14 +312,13 @@ def _make_nodes(rows: Iterable[tuple[str, str, str]], source: str
 
 
 def _make_edges(rows: Sequence[tuple[str, ...]], ids: dict[str, NodeId], kinds: np.ndarray,
-                source: str) -> dict[EdgeKind, np.ndarray]:
-    """Each edge kind's ``(src, dst)`` id pairs; the earliest bad row raises."""
+                source: str) -> np.ndarray:
+    """The edges' ``(src, dst)`` id pairs; the earliest bad row raises."""
     bad_row = (i for i, row in enumerate(rows) if len(row) != 3 or row[2] not in _EDGE_KINDS)
     parsed = next(bad_row, len(rows))  # rows before the first that does not parse
     ends = [ids.get(ext, -1) for row in rows[:parsed] for ext in row[:2]]  # -1: an unknown id
     pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    kind_column = np.array([row[2] for row in rows[:parsed]], dtype="S2")
-    want = kind_column.view(np.uint8).reshape(-1, 2)
+    want = np.array([row[2] for row in rows[:parsed]], dtype="S2").view(np.uint8).reshape(-1, 2)
     if fault := _edge_fault(kinds, *pairs.T, *want.T):  # want: each row's endpoint kind letters
         i, rule = fault
         src_s, dst_s, kind_s = rows[i]
@@ -327,7 +334,7 @@ def _make_edges(rows: Sequence[tuple[str, ...]], ids: dict[str, NodeId], kinds: 
         if len(row) != 3:
             raise FormatError(source, parsed + 1, f"expected 3 columns, got {len(row)}")
         raise FormatError(source, parsed + 1, f"unknown edge kind {row[2]!r}")
-    return {kind: pairs[kind_column == kind.value.encode()] for kind in EdgeKind}
+    return pairs
 
 
 def build_graph(nodes: Sequence[tuple[str, str, str]],
@@ -385,13 +392,14 @@ def save_snapshot(g: KBGraph, path: str) -> None:
     """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
     kinds = np.where(g._is_category, ord(NodeKind.CATEGORY.value), ord(NodeKind.ARTICLE.value))
     arrays = {"kinds": kinds.astype(np.uint8)}
-    for k in EdgeKind:
-        arrays[f"{k.value}_src"], arrays[f"{k.value}_dst"] = g._edges(k)
+    for k, (src, dst) in g._edges().items():
+        arrays[f"{k.value}_src"], arrays[f"{k.value}_dst"] = src, dst
     _SNAPSHOT_FORMAT.save(path, arrays, {"ext_ids": g._ext_ids, "titles": g._titles})
 
 
 def load_snapshot(path: str) -> KBGraph:
-    """Read a file written by :func:`save_snapshot`; its rows get the checks TSV rows get."""
+    """Read a file written by :func:`save_snapshot`; its rows get the checks TSV rows get,
+    and last, a node id or title holding a tab or line break, as no TSV row can, raises."""
     edge_columns = [f"{k.value}_{end}" for k in EdgeKind for end in ("src", "dst")]
     columns = _SNAPSHOT_FORMAT.load(path, ["kinds", *edge_columns], ("ext_ids", "titles"))
     ext_ids, kinds, titles = columns["ext_ids"], columns["kinds"], columns["titles"]
@@ -399,7 +407,7 @@ def load_snapshot(path: str) -> KBGraph:
             and kinds.size == len(ext_ids) == len(titles)):
         raise _SNAPSHOT_FORMAT.error(path, "node columns do not fit together")
     ids, kinds, titles = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
-    edges = {}
+    edges = []
     for kind in EdgeKind:
         src, dst = columns[f"{kind.value}_src"], columns[f"{kind.value}_dst"]
         if not (src.ndim == dst.ndim == 1 and src.dtype.kind == dst.dtype.kind == "i"
@@ -407,5 +415,9 @@ def load_snapshot(path: str) -> KBGraph:
             raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge columns are not int pairs of equal length")
         if fault := _edge_fault(kinds, src, dst, *kind.value.encode()):
             raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge at index {fault[0]}: {fault[1]}")
-        edges[kind] = np.stack([src, dst], axis=1)
-    return _graph(ids, kinds, titles, edges, path)
+        edges.append(np.stack([src, dst], axis=1))
+    g = _graph(ids, kinds, titles, np.concatenate(edges, dtype=np.int64), path)
+    fields = "".join(itertools.chain(ext_ids, titles))
+    if any(c in fields for c in "\t\n\r"):
+        raise _SNAPSHOT_FORMAT.error(path, "a node id or title holds a tab or line break, as no TSV row can")
+    return g

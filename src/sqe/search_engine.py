@@ -42,7 +42,7 @@ import numpy as np
 from .archive import ArchiveFormat
 from .errors import DuplicateDocId, EmptyCollection, FormatError
 from .query_lang import Combine, QueryNode, Term, Weight, Window
-from .text import lines, open_text, tokenize
+from .text import TOKEN, lines, open_text, tokenize
 
 DEFAULT_MU = 2500.0
 # The largest Dirichlet mu accepted.  mu * cf / |C| is at most mu, so up to
@@ -117,7 +117,8 @@ class Index:
     order.  Postings are
     CSR over global positions: term ``t`` occurs, in ascending order, at
     ``_positions[_offsets[t]:_offsets[t + 1]]``.  Term ids follow first
-    appearance, and everything is fixed at construction.
+    appearance, and everything is fixed at construction: the numpy columns
+    are read-only, and those the caller passed in are frozen as views.
     """
 
     __slots__ = (
@@ -147,11 +148,11 @@ class Index:
         for ordinal, doc_id in enumerate(doc_ids):
             if self._ordinals.setdefault(doc_id, ordinal) != ordinal:
                 raise DuplicateDocId(f"document id {doc_id!r} appears twice")
-        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
+        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64).view()  # frozen below: not the caller's
         self.collection_length = int(self.doc_lengths.sum())
         self.vocab = vocab
         self._term_ids = {tok: t for t, tok in enumerate(vocab)}
-        self.tokens = np.asarray(tokens, dtype=np.int32)
+        self.tokens = np.asarray(tokens, dtype=np.int32).view()
         counts = np.bincount(self.tokens, minlength=len(vocab))
         self.collection_tf = dict(zip(vocab, counts.tolist()))
         self._doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
@@ -162,6 +163,9 @@ class Index:
         self._by_term = np.array(sorted(range(len(vocab)), key=vocab.__getitem__), dtype=np.int64)
         self._offsets = np.concatenate(([0], np.cumsum(counts)))
         self._positions = np.argsort(self.tokens, kind="stable")
+        for name in self.__slots__:
+            if isinstance(column := getattr(self, name), np.ndarray):
+                column.flags.writeable = False  # immutable: a write raises ValueError
 
     @property
     def n_docs(self) -> int:
@@ -209,7 +213,8 @@ def save_index(idx: Index, path: str) -> None:
 
 
 def load_index(path: str) -> Index:
-    """Read a file written by ``save_index``; see :mod:`sqe.archive`."""
+    """Read a file written by ``save_index``; see :mod:`sqe.archive`.  Like a documents
+    file, it may hold only distinct one-token words and ids that fit a run line."""
     columns = _INDEX_FORMAT.load(path, ("doc_lengths", "tokens"), ("doc_ids", "vocab"))
     doc_ids, vocab = columns["doc_ids"], columns["vocab"]
     lengths, tokens = columns["doc_lengths"], columns["tokens"]
@@ -223,7 +228,13 @@ def load_index(path: str) -> Index:
     )
     if not consistent:
         raise _INDEX_FORMAT.error(path, "index columns do not fit together")
-    return Index(doc_ids, lengths, vocab, tokens)
+    idx = Index(doc_ids, lengths, vocab, tokens)
+    words = "".join(vocab)  # C-level passes: words distinct, none empty, each character a token's
+    if len(idx._term_ids) != len(vocab) or not all(vocab) or (words and not TOKEN.fullmatch(words)):
+        raise _INDEX_FORMAT.error(path, "a vocabulary word repeats or is not one token")
+    if " ".join(doc_ids).split() != doc_ids:  # each id one run line field
+        raise _INDEX_FORMAT.error(path, "a document id is empty or holds whitespace")
+    return idx
 
 
 def read_documents(path: str) -> Iterable[Document]:

@@ -16,7 +16,7 @@ from sqe import search_engine
 from sqe.cli import main, make_parser
 from sqe.errors import FormatError
 from sqe.evaluation import Qrels
-from sqe.kb_graph import EdgeKind, load_graph, load_snapshot
+from sqe.kb_graph import EdgeKind, ValidationReport, load_graph, load_snapshot
 from sqe.pipeline import PipelineConfig, load_topics
 from sqe.query_lang import parse
 from sqe.search_engine import (
@@ -75,11 +75,16 @@ def test_ingest_summary_and_snapshot(cable_files, tmp_path, capsys):
     assert g.edge_count(EdgeKind.AA) == 3
 
 
-def test_ingest_prints_at_most_20_warnings(tmp_path, capsys):
+def test_ingest_prints_at_most_20_warnings(tmp_path, monkeypatch, capsys):
+    reads = []  # each read of report.warnings formats every warning
+    built = ValidationReport.warnings.fget
+    monkeypatch.setattr(ValidationReport, "warnings", property(lambda r: reads.append(r) or built(r)))
     nodes = write_tsv(tmp_path / "nodes.tsv", [(f"a{i}", "A", f"Title {i}") for i in range(25)])
     assert main(["ingest", "--nodes", nodes, "--edges", write_tsv(tmp_path / "edges.tsv", [])]) == 0
-    warnings = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    warnings = err.splitlines()
     assert warnings == [f"warning: article {i} has no category" for i in range(20)] + ["warning: ... 5 more"]
+    assert "warnings\t25" in out and len(reads) == 1
 
 
 def test_expand_cable_fixture(cable_files, capsys):
@@ -500,6 +505,11 @@ def test_run_with_a_repeated_topic_id_exits_2(tmp_path, graffiti_kb, graffiti_in
     assert not run_path.exists()
 
 
+def test_query_term_that_is_not_one_token_exits_2(graffiti_index_file, capsys):
+    assert main(["search", "--index", graffiti_index_file, "--query", "#combine( a-b )"]) == 2
+    assert "a plain alphanumeric token (got 'a-b')" in _one_error(capsys)
+
+
 def test_search_k_below_one_exits_1(graffiti_index_file, capsys):
     assert main(["search", "--index", graffiti_index_file, "--query", "banksy", "--k", "0"]) == 1
     assert "--k: must be an integer >= 1, got '0'" in capsys.readouterr().err
@@ -533,6 +543,7 @@ BAD_ARGUMENTS = {
     "expand-no-input": ["expand", "--kb", "{kb}"],
     "build-query-no-input": ["build-query", "--kb", "{kb}"],
     "search-no-query": ["search", "--index", "{index}"],
+    "link-no-kb": ["link", "--text", "x"],
 }
 
 
@@ -631,6 +642,34 @@ def _edited_archive(**changes):
     return make
 
 
+def _edited_strings(name: str, edit):
+    """Rewrite the first good file given with its string column ``name`` passed through ``edit``."""
+    ends = name.removesuffix("s") + "_ends"
+
+    def make(good: Path, _other: Path, path: Path) -> None:
+        with np.load(good) as data:
+            arrays = dict(data)
+        raw, cuts = arrays[name].tobytes(), [0, *arrays[ends].tolist()]
+        encoded = [v.encode() for v in edit([raw[a:b].decode() for a, b in zip(cuts, cuts[1:])])]
+        arrays[name] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        arrays[ends] = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return make
+
+
+# strings that no text file can hold, which a binary file must not hold either; the reason each names
+NOT_IN_TEXT = {
+    "repeated-word": "repeats or is not one token",
+    "word-not-a-token": "repeats or is not one token",
+    "empty-doc-id": "empty or holds whitespace",
+    "doc-id-with-space": "empty or holds whitespace",
+    "title-with-newline": "holds a tab or line break",
+    "title-with-cr": "holds a tab or line break",
+    "ext-id-with-tab": "holds a tab or line break",
+}
+
+
 def _with_first(column: np.ndarray, value) -> np.ndarray:
     out = column.copy()
     out[0] = value
@@ -643,6 +682,10 @@ STALE_INDEXES = {
     "truncated": lambda good, kb, path: path.write_bytes(good.read_bytes()[:-100]),
     "bumped-version": _edited_archive(version=lambda a: a["version"] + 1),
     "unequal-columns": _edited_archive(doc_lengths=lambda a: a["doc_lengths"][:-1]),
+    "repeated-word": _edited_strings("vocab", lambda words: [words[1], *words[1:]]),
+    "word-not-a-token": _edited_strings("vocab", lambda words: ["Wall Art", *words[1:]]),
+    "empty-doc-id": _edited_strings("doc_ids", lambda ids: ["", *ids[1:]]),
+    "doc-id-with-space": _edited_strings("doc_ids", lambda ids: ["d 1", *ids[1:]]),
     # indexes were pickled Index objects before the columnar file format
     "pickle": lambda good, kb, path: path.write_bytes(
         pickle.dumps(build_index([Document.from_text("d", "banksy")]), pickle.HIGHEST_PROTOCOL)
@@ -660,6 +703,7 @@ def test_foreign_or_stale_index_exits_2(kind, tmp_path, graffiti_kb, graffiti_in
     assert err.startswith("sqe: error:") and err.count("\n") == 1
     if kind in ("pickle", "bumped-version"):
         assert "rebuild it with `sqe index`" in err
+    assert NOT_IN_TEXT.get(kind, "") in err
 
 
 def test_max_ngram_below_one_exits_1(cable_files, capsys):
@@ -693,6 +737,9 @@ STALE_SNAPSHOTS = {
     "wrong-src-kind": _edited_archive(CC_src=lambda a: _with_first(a["CC_src"], 0)),
     "bad-node-kind": _edited_archive(kinds=lambda a: _with_first(a["kinds"], ord("Q"))),
     "unequal-node-columns": _edited_archive(kinds=lambda a: a["kinds"][:-1]),
+    "title-with-newline": _edited_strings("titles", lambda titles: ["Graffiti\nart", *titles[1:]]),
+    "title-with-cr": _edited_strings("titles", lambda titles: ["Graffiti\r", *titles[1:]]),
+    "ext-id-with-tab": _edited_strings("ext_ids", lambda ids: ["a\t1", *ids[1:]]),
 }
 
 
@@ -707,6 +754,7 @@ def test_foreign_or_stale_snapshot_exits_2(kind, tmp_path, graffiti_kb, graffiti
     assert err.startswith("sqe: error:") and err.count("\n") == 1
     if kind in ("pickle", "bumped-version"):
         assert "re-create it with `sqe ingest --out`" in err
+    assert NOT_IN_TEXT.get(kind, "") in err
 
 
 # every file a subcommand reads, one per case; {bad} is the fuzzed file, the rest are good

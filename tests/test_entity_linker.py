@@ -51,6 +51,8 @@ def test_max_ngram_limits_match():
     assert titles(g, link(g, InputRequest("q", "one two three"))) == ["One_two_three"]
     short = link(g, InputRequest("q", "one two three"), max_ngram=2)
     assert titles(g, short) == ["One"]
+    with pytest.raises(ValueError, match="max_ngram must be >= 1"):
+        EntityLinker(g, max_ngram=0)
 
 
 def test_tokenization_for_punctuated_titles(graffiti_graph):

@@ -93,6 +93,8 @@ def test_evaluate_handles_missing_and_unknown_queries():
     assert report.skipped == ["q99"]
     expected_sum = sum(min(r, 5) / 5 for qid, r in REL_COUNTS.items() if qid != "q10")
     assert report.means[5] == pytest.approx(expected_sum / 10)
+    with pytest.raises(ValueError, match="at least one cutoff"):
+        evaluate(runs, qrels, ks=())
 
 
 def test_evaluate_zero_relevant_topic_contributes_zero():

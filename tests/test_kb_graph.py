@@ -188,6 +188,18 @@ def test_doubly_linked():
     assert not g2.doubly_linked(0, 0)  # self-edges banned, no error
     with pytest.raises(NotAnArticle):
         g2.doubly_linked(0, 2)
+    with pytest.raises(NotAnArticle):
+        g2.doubly_linked_neighbors(2)
+
+
+def test_link_table_and_node_kinds_are_read_only():
+    g = build_graph(MINI_NODES, MINI_EDGES)
+    neighbors, counts = g.links(0)
+    with pytest.raises(ValueError, match="read-only"):
+        neighbors[0] = 0  # would give node 0 a self-loop
+    for column in (counts, *g._links[1:], g._is_category):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -34,6 +34,8 @@ def test_node_invariants():
         Window(1, ())
     with pytest.raises(ValueError):
         Combine(())
+    with pytest.raises(ValueError, match="at least one entry"):
+        Weight(())
     with pytest.raises(ValueError):
         Weight(((0.0, Term("a")),))
     # a display equal to the token join collapses to None
@@ -160,6 +162,15 @@ def test_build_expanded_query_edge_cases(cable_graph):
     # single-token title becomes a one-token exact phrase
     eq2 = build_expanded_query(["cable"], ["Cable_car", "Funicular"], None)
     assert eq2.entity_part.children[1] == Window(1, ("funicular",))
+
+
+def test_inputs_that_make_no_query_raise():
+    with pytest.raises(ValueError, match="title has no tokens"):
+        phrase("!!!")
+    with pytest.raises(TypeError, match="not a query node"):
+        render("cable")
+    with pytest.raises(ValueError, match="a graph is needed"):  # node ids without their titles
+        build_expanded_query(["cable"], [], QueryGraph(frozenset({0}), {1: 1}))
 
 
 def test_feature_order_breaks_ties_by_title(graffiti_graph):

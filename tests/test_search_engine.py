@@ -14,11 +14,13 @@ from sqe.search_engine import (
     DEFAULT_MU,
     UNSEEN_CF,
     Document,
+    Index,
     Leaves,
     RankedList,
     _best,
     _dirichlet,
     _leaf_block,
+    _leaf_nodes,
     _leaf_tf,
     _score_vector,
     _top,
@@ -36,6 +38,7 @@ from sqe.search_engine import (
     window_tf,
     write_trec_run,
 )
+from sqe.text import TOKEN
 
 from oracles import naive_ranking, naive_score, window_tf_oracle
 
@@ -467,14 +470,36 @@ def test_read_documents(tmp_path):
         list(read_documents(str(bad)))
 
 
+def test_guards_of_search_and_ranked_lists():
+    idx = build_index([Document("d1", ["a"])])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        search(idx, Term("a"), 0)
+    with pytest.raises(TypeError, match="not a query node"):
+        list(_leaf_nodes("a"))
+    ranked = RankedList("q", [("d1", 1.0)])
+    assert ranked.__eq__(1) is NotImplemented and ranked != 1
+
+
+def test_index_columns_are_read_only_views():
+    lengths, tokens = np.array([2, 1]), np.array([0, 1, 0], dtype=np.int32)
+    idx = Index(["d2", "d1"], lengths, ["a", "b"], tokens)
+    columns = [getattr(idx, name) for name in Index.__slots__]
+    columns = [column for column in columns if isinstance(column, np.ndarray)]
+    assert len(columns) == 10 and not any(column.flags.writeable for column in columns)
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1  # idx.tokens[0] = 1 would rewrite the collection
+    assert lengths.flags.writeable and tokens.flags.writeable  # a view froze, not the caller's array
+
+
 # -- index files ---------------------------------------------------------------
 
 
 def test_index_file_round_trip(tmp_path):
-    docs = [
-        Document("d\n1", ["é", "b"]),
-        Document("", []),
-        Document("ü x", ["b", "é", "é", "b"]),
+    docs = [  # non-ASCII ids take the archive's per-string decode; load_index rejects what no text file holds
+        Document("dé1", ["e", "b"]),
+        Document("ü", []),
+        Document("ü-x", ["b", "e", "e", "b"]),
     ]
     path = str(tmp_path / "idx.bin")
     for idx in (build_index([]), build_index(docs)):
@@ -869,7 +894,11 @@ def test_by_term_lists_term_ids_in_term_order(docs, tmp_path_factory):
     assert idx._by_term.dtype == np.int64 and idx._by_term.tolist() == want
     path = str(tmp_path_factory.mktemp("index") / "idx.npz")
     save_index(idx, path)
-    assert load_index(path)._by_term.tolist() == want
+    if all(map(TOKEN.fullmatch, idx.vocab)):
+        assert load_index(path)._by_term.tolist() == want
+    else:  # "A", "é" and "_" fit no token, so no text file holds such a vocabulary
+        with pytest.raises(FormatError, match="not one token"):
+            load_index(path)
 
 
 def prf_expand_full_sort(idx, q, fb_docs, fb_terms, orig_weight, stopwords, mu):
