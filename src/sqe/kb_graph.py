@@ -254,14 +254,16 @@ def _link_table(edges: np.ndarray, n_nodes: int) -> tuple[memoryview, np.ndarray
 
 def _graph(ids: dict[str, NodeId], kinds: np.ndarray, titles: tuple[str, ...],
            edges: np.ndarray, source: str = "nodes") -> KBGraph:
-    """The graph over :func:`_make_nodes` columns and the edges' ``(src, dst)`` id pairs.
-    Each title is normalized here, once; a node that repeats an earlier
-    normalized title of its kind raises with its line in ``source``."""
+    """The graph over :func:`_make_nodes` columns and the edges' ``(src, dst)`` id pairs; titles are
+    normalized here, once.  A repeated normalized title of a kind raises with its line in ``source``,
+    and after it a node id or title holding a tab or line break raises ``ValueError``."""
     normalized = tuple(map(normalize_title, titles))
     title_index: dict[tuple[str, str], NodeId] = {}
     for i, key in enumerate(zip(kinds.tobytes().decode("ascii"), normalized)):
         if title_index.setdefault(key, i) != i:
             raise FormatError(source, i + 1, f"duplicate normalized title {key[1]!r} for kind {key[0]}")
+    if any(map("".join(itertools.chain(ids, titles)).__contains__, "\t\n\r")):  # one join, three scans
+        raise ValueError("a node id or title holds a tab or line break, as no TSV row can")
     is_category = kinds == ord(NodeKind.CATEGORY.value)
     return KBGraph(titles, normalized, tuple(ids), title_index, _link_table(edges, len(titles)), is_category)
 
@@ -398,8 +400,7 @@ def save_snapshot(g: KBGraph, path: str) -> None:
 
 
 def load_snapshot(path: str) -> KBGraph:
-    """Read a file written by :func:`save_snapshot`; its rows get the checks TSV rows get,
-    and last, a node id or title holding a tab or line break, as no TSV row can, raises."""
+    """Read a file written by :func:`save_snapshot`; its rows get the checks TSV rows get."""
     edge_columns = [f"{k.value}_{end}" for k in EdgeKind for end in ("src", "dst")]
     columns = _SNAPSHOT_FORMAT.load(path, ["kinds", *edge_columns], ("ext_ids", "titles"))
     ext_ids, kinds, titles = columns["ext_ids"], columns["kinds"], columns["titles"]
@@ -416,8 +417,7 @@ def load_snapshot(path: str) -> KBGraph:
         if fault := _edge_fault(kinds, src, dst, *kind.value.encode()):
             raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge at index {fault[0]}: {fault[1]}")
         edges.append(np.stack([src, dst], axis=1))
-    g = _graph(ids, kinds, titles, np.concatenate(edges, dtype=np.int64), path)
-    fields = "".join(itertools.chain(ext_ids, titles))
-    if any(c in fields for c in "\t\n\r"):
-        raise _SNAPSHOT_FORMAT.error(path, "a node id or title holds a tab or line break, as no TSV row can")
-    return g
+    try:
+        return _graph(ids, kinds, titles, np.concatenate(edges, dtype=np.int64), path)
+    except ValueError as exc:  # a node field that no TSV row can hold
+        raise _SNAPSHOT_FORMAT.error(path, str(exc)) from None

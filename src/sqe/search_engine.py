@@ -143,6 +143,16 @@ class Index:
     def __init__(
         self, doc_ids: list[str], doc_lengths: np.ndarray, vocab: list[str], tokens: np.ndarray
     ):
+        fit = (  # before any cast: 1-D int columns, one length per doc id, term ids in the vocabulary
+            doc_lengths.ndim == tokens.ndim == 1
+            and doc_lengths.dtype.kind == tokens.dtype.kind == "i"
+            and doc_lengths.size == len(doc_ids)
+            and not (doc_lengths < 0).any()
+            and int(doc_lengths.sum()) == tokens.size
+            and (tokens.size == 0 or (tokens.min() >= 0 and tokens.max() < len(vocab)))
+        )
+        if not fit:
+            raise ValueError("index columns do not fit together")
         self.doc_ids = doc_ids
         self._ordinals: dict[str, int] = {}
         for ordinal, doc_id in enumerate(doc_ids):
@@ -152,6 +162,11 @@ class Index:
         self.collection_length = int(self.doc_lengths.sum())
         self.vocab = vocab
         self._term_ids = {tok: t for t, tok in enumerate(vocab)}
+        words = "".join(vocab)  # C-level passes: words distinct, none empty, each character a token's
+        if len(self._term_ids) != len(vocab) or not all(vocab) or (words and not TOKEN.fullmatch(words)):
+            raise ValueError("a vocabulary word repeats or is not one token")
+        if " ".join(doc_ids).split() != doc_ids:  # each id one run line field
+            raise ValueError("a document id is empty or holds whitespace")
         self.tokens = np.asarray(tokens, dtype=np.int32).view()
         counts = np.bincount(self.tokens, minlength=len(vocab))
         self.collection_tf = dict(zip(vocab, counts.tolist()))
@@ -213,28 +228,13 @@ def save_index(idx: Index, path: str) -> None:
 
 
 def load_index(path: str) -> Index:
-    """Read a file written by ``save_index``; see :mod:`sqe.archive`.  Like a documents
-    file, it may hold only distinct one-token words and ids that fit a run line."""
+    """Read a file written by ``save_index``; see :mod:`sqe.archive`.  A column
+    that ``Index`` refuses is a fault of the file, named in the error."""
     columns = _INDEX_FORMAT.load(path, ("doc_lengths", "tokens"), ("doc_ids", "vocab"))
-    doc_ids, vocab = columns["doc_ids"], columns["vocab"]
-    lengths, tokens = columns["doc_lengths"], columns["tokens"]
-    consistent = (
-        lengths.ndim == tokens.ndim == 1
-        and lengths.dtype.kind == tokens.dtype.kind == "i"
-        and lengths.size == len(doc_ids)
-        and not (lengths < 0).any()
-        and int(lengths.sum()) == tokens.size
-        and (tokens.size == 0 or (tokens.min() >= 0 and tokens.max() < len(vocab)))
-    )
-    if not consistent:
-        raise _INDEX_FORMAT.error(path, "index columns do not fit together")
-    idx = Index(doc_ids, lengths, vocab, tokens)
-    words = "".join(vocab)  # C-level passes: words distinct, none empty, each character a token's
-    if len(idx._term_ids) != len(vocab) or not all(vocab) or (words and not TOKEN.fullmatch(words)):
-        raise _INDEX_FORMAT.error(path, "a vocabulary word repeats or is not one token")
-    if " ".join(doc_ids).split() != doc_ids:  # each id one run line field
-        raise _INDEX_FORMAT.error(path, "a document id is empty or holds whitespace")
-    return idx
+    try:
+        return Index(columns["doc_ids"], columns["doc_lengths"], columns["vocab"], columns["tokens"])
+    except (ValueError, DuplicateDocId) as exc:
+        raise _INDEX_FORMAT.error(path, str(exc)) from None
 
 
 def read_documents(path: str) -> Iterable[Document]:
