@@ -20,7 +20,9 @@ node, true for a category, is the only store of its kind.  A
 :class:`KBGraph` is immutable once built, its arrays read-only, and
 holds no :class:`KBNode`; it builds one on read.  Parallel edges between
 the same ordered pair are deduplicated on load so that motif counting is
-well-defined.
+well-defined.  Every reader builds through ``_graph``, which refuses a node
+id or title holding a tab or line break, as no TSV row can hold one;
+``load_snapshot`` reports that as a fault of its file.
 """
 
 from __future__ import annotations

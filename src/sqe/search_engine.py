@@ -67,8 +67,12 @@ class RankedList:
     a tuple of doc id strings, and ``scores``, a read-only float64 array, best
     first.  ``_from_columns`` copies the scores in; ``RankedList(request_id,
     entries, tag)`` splits ``(doc_id, score)`` pairs and first rejects a score
-    that is not a real number.  Both check the order with one comparison (a nan
-    fails it) and the ids with one set; ``entries`` builds the pairs on each read."""
+    that is not a real number, then a doc id that does not fit a run line (one
+    joined split).  Both check the order with one comparison (a nan fails it),
+    the ids with one set, and the request id and tag with ``is_run_id``, so a
+    list writes only run lines that ``read_trec_run`` reads back.  The other
+    builders pass run ids already: an ``Index``'s, another list's or a run
+    line's fields.  ``entries`` builds the pairs on each read."""
 
     def __init__(self, request_id: str, entries: Iterable[tuple[str, float]] = (), tag: str = "sqe"):
         pairs = list(entries)
@@ -76,7 +80,10 @@ class RankedList:
             scores = array("d", [s for _d, s in pairs])
         except (TypeError, OverflowError):
             raise ValueError("ranked list scores must be non-increasing numbers") from None
-        self._set_columns(request_id, [d for d, _s in pairs], scores, tag)
+        ids = [d for d, _s in pairs]
+        if " ".join(ids).split() != ids:  # each id one run line field
+            raise ValueError("ranked list doc ids must be non-empty, with no whitespace")
+        self._set_columns(request_id, ids, scores, tag)
 
     @classmethod
     def _from_columns(cls, request_id: str, ids: Iterable[str], scores, tag: str) -> "RankedList":
@@ -90,6 +97,8 @@ class RankedList:
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ValueError("ranked list doc ids must be unique")
+        if not (is_run_id(request_id) and is_run_id(tag)):
+            raise ValueError("ranked list request id and tag must be non-empty, with no whitespace")
         scores.flags.writeable = False
         self.request_id, self.ids, self.scores, self.tag = request_id, ids, scores, tag
         return self
@@ -119,6 +128,13 @@ class Index:
     ``_positions[_offsets[t]:_offsets[t + 1]]``.  Term ids follow first
     appearance, and everything is fixed at construction: the numpy columns
     are read-only, and those the caller passed in are frozen as views.
+
+    Every reader builds through here, so the rules on the values are stated
+    here once: 1-D int columns that fit together (one length per doc id, none
+    negative, summing to the token count, term ids within the vocabulary),
+    distinct words that are each one ``text.TOKEN``, and doc ids that fit a
+    run line.  A fault raises ``ValueError``, a repeated doc id
+    :class:`DuplicateDocId`; ``load_index`` reports either as its file's.
     """
 
     __slots__ = (
@@ -129,7 +145,6 @@ class Index:
         "vocab",
         "_term_ids",
         "tokens",
-        "collection_tf",
         "_doc_starts",
         "_doc_of",
         "_lengths",
@@ -169,7 +184,6 @@ class Index:
             raise ValueError("a document id is empty or holds whitespace")
         self.tokens = np.asarray(tokens, dtype=np.int32).view()
         counts = np.bincount(self.tokens, minlength=len(vocab))
-        self.collection_tf = dict(zip(vocab, counts.tolist()))
         self._doc_starts = np.cumsum(self.doc_lengths) - self.doc_lengths
         self._doc_of = np.repeat(np.arange(len(doc_ids)), self.doc_lengths)
         self._lengths, self._length_class = np.unique(self.doc_lengths, return_inverse=True)
@@ -185,6 +199,11 @@ class Index:
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def collection_tf(self) -> dict[str, int]:
+        """Each word's count in the collection, in a dict built anew on every read."""
+        return dict(zip(self.vocab, np.diff(self._offsets).tolist()))
 
     def ordinal(self, doc: str | int) -> int:
         if isinstance(doc, str):

@@ -539,6 +539,7 @@ BAD_ARGUMENTS = {
     "ttest-alpha-nan": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}",
                         "--alpha", "nan"],
     "ttest-alpha-1": ["ttest", "--run", "{run}", "--run", "{run}", "--qrels", "{qrels}", "--alpha", "1"],
+    "ttest-one-run": ["ttest", "--run", "{run}", "--qrels", "{qrels}"],
     # an input that one of two flags gives, with neither given
     "expand-no-input": ["expand", "--kb", "{kb}"],
     "build-query-no-input": ["build-query", "--kb", "{kb}"],
@@ -664,6 +665,7 @@ NOT_IN_TEXT = {
     "word-not-a-token": "repeats or is not one token",
     "empty-doc-id": "empty or holds whitespace",
     "doc-id-with-space": "empty or holds whitespace",
+    "repeated-doc-id": "appears twice",
     "title-with-newline": "holds a tab or line break",
     "title-with-cr": "holds a tab or line break",
     "ext-id-with-tab": "holds a tab or line break",
@@ -686,6 +688,7 @@ STALE_INDEXES = {
     "word-not-a-token": _edited_strings("vocab", lambda words: ["Wall Art", *words[1:]]),
     "empty-doc-id": _edited_strings("doc_ids", lambda ids: ["", *ids[1:]]),
     "doc-id-with-space": _edited_strings("doc_ids", lambda ids: ["d 1", *ids[1:]]),
+    "repeated-doc-id": _edited_strings("doc_ids", lambda ids: [ids[1], *ids[1:]]),
     # indexes were pickled Index objects before the columnar file format
     "pickle": lambda good, kb, path: path.write_bytes(
         pickle.dumps(build_index([Document.from_text("d", "banksy")]), pickle.HIGHEST_PROTOCOL)
@@ -700,7 +703,7 @@ def test_foreign_or_stale_index_exits_2(kind, tmp_path, graffiti_kb, graffiti_in
     code = main(["search", "--index", str(path), "--query", "banksy"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("sqe: error:") and err.count("\n") == 1
+    assert err.startswith(f"sqe: error: {path}: ") and err.count("\n") == 1  # the file is named
     if kind in ("pickle", "bumped-version"):
         assert "rebuild it with `sqe index`" in err
     assert NOT_IN_TEXT.get(kind, "") in err

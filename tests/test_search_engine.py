@@ -266,6 +266,22 @@ def test_ranked_list_invariants():
             RankedList("q", [("a", score)])
 
 
+RUN_ID_FAULTS = {  # each wrote a run line of 7 fields, or 5, that read_trec_run refused
+    "request-id-with-space": lambda: RankedList("q 1", [("d1", 1.0)]),
+    "doc-id-with-space": lambda: RankedList("q1", [("d 1", 1.0)]),
+    "tag-with-space": lambda: RankedList("q1", [("d1", 1.0)], "my tag"),
+    "empty-doc-id": lambda: RankedList("q1", [("", 1.0)]),
+    "columns-empty-request-id": lambda: RankedList._from_columns("", ["d1"], [1.0], "t"),
+    "columns-tag-with-newline": lambda: RankedList._from_columns("q1", ["d1"], [1.0], "t\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_ID_FAULTS))
+def test_ranked_list_refuses_ids_that_do_not_fit_a_run_line(case):
+    with pytest.raises(ValueError, match="must be non-empty, with no whitespace"):
+        RUN_ID_FAULTS[case]()
+
+
 COLUMN_SCORES = [math.inf, 3.0, 1.5, 0.0, -0.0, -2.0, -math.inf, math.nan]
 
 
@@ -317,7 +333,7 @@ def test_list_from_columns_equals_list_from_tuples(columns):
     assert from_columns.doc_ids() == from_tuples.doc_ids() == ids
     owned[:] = 7.0  # nor is it shared with the list
     assert from_columns.entries == want
-    assert from_columns != RankedList("q", want, "other tag")
+    assert from_columns != RankedList("q", want, "other-tag")
     assert from_columns != RankedList("other", want, "t")
 
 
