@@ -70,9 +70,9 @@ class RankedList:
     that is not a real number, then a doc id that does not fit a run line (one
     joined split).  Both check the order with one comparison (a nan fails it),
     the ids with one set, and the request id and tag with ``is_run_id``, so a
-    list writes only run lines that ``read_trec_run`` reads back.  The other
-    builders pass run ids already: an ``Index``'s, another list's or a run
-    line's fields.  ``entries`` builds the pairs on each read."""
+    list writes only run lines that ``read_trec_run`` reads back.  The doc ids
+    of ``_from_columns`` go unchecked: its callers pass an ``Index``'s, another
+    list's or a run line's, all run ids.  ``entries`` builds the pairs on each read."""
 
     def __init__(self, request_id: str, entries: Iterable[tuple[str, float]] = (), tag: str = "sqe"):
         pairs = list(entries)
@@ -158,7 +158,8 @@ class Index:
     def __init__(
         self, doc_ids: list[str], doc_lengths: np.ndarray, vocab: list[str], tokens: np.ndarray
     ):
-        fit = (  # before any cast: 1-D int columns, one length per doc id, term ids in the vocabulary
+        doc_lengths, tokens = np.asarray(doc_lengths), np.asarray(tokens)  # lists too, not cast yet
+        fit = (  # before any cast, so that a float column cannot pass as an int one
             doc_lengths.ndim == tokens.ndim == 1
             and doc_lengths.dtype.kind == tokens.dtype.kind == "i"
             and doc_lengths.size == len(doc_ids)
@@ -247,8 +248,7 @@ def save_index(idx: Index, path: str) -> None:
 
 
 def load_index(path: str) -> Index:
-    """Read a file written by ``save_index``; see :mod:`sqe.archive`.  A column
-    that ``Index`` refuses is a fault of the file, named in the error."""
+    """Read a file written by ``save_index`` (see :mod:`sqe.archive`); a column Index refuses is its fault."""
     columns = _INDEX_FORMAT.load(path, ("doc_lengths", "tokens"), ("doc_ids", "vocab"))
     try:
         return Index(columns["doc_ids"], columns["doc_lengths"], columns["vocab"], columns["tokens"])

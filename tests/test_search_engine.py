@@ -508,6 +508,17 @@ def test_index_columns_are_read_only_views():
     assert lengths.flags.writeable and tokens.flags.writeable  # a view froze, not the caller's array
 
 
+def test_index_checks_its_columns_where_built():
+    assert Index(["d1", "d2"], [2, 0], ["a", "b"], [1, 0]).collection_tf == {"a": 1, "b": 1}
+    for lengths, tokens in (([1.0], [0]), ([1], [0.0]), ([[1]], [0]), ([2], [0]), ([-1, 2], [0]), ([1], [2])):
+        with pytest.raises(ValueError, match="index columns do not fit together"):
+            Index(["d1", "d2"][: len(lengths)], np.array(lengths), ["a", "b"], np.array(tokens))
+    with pytest.raises(ValueError, match="repeats or is not one token"):
+        Index(["d1"], [2], ["a", "a"], [0, 1])
+    with pytest.raises(DuplicateDocId, match="'d1' appears twice"):
+        Index(["d1", "d1"], [0, 0], [], np.zeros(0, dtype=np.int32))
+
+
 # -- index files ---------------------------------------------------------------
 
 
