@@ -45,8 +45,10 @@ class Term:
 class Window:
     """Ordered window: tokens in order, gaps of at most ``n`` positions.
 
-    ``display`` keeps the raw phrase when it differs from the plain token
-    join (titles such as "above (artist)"); matching always uses tokens.
+    Each token is one ``text.TOKEN``.  ``display`` keeps the raw phrase
+    when it differs from the plain token join (titles such as "above
+    (artist)") and its parentheses balance, so that it parses back;
+    otherwise it is None.  Matching always uses tokens.
     """
 
     n: int
@@ -54,13 +56,27 @@ class Window:
     display: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.tokens, str):  # its tuple would be one-letter tokens
+            raise ValueError(f"window tokens must be a sequence of tokens, not one string: {self.tokens!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not 1 <= self.n <= MAX_WINDOW:
             raise ValueError(f"window size must be >= 1 and <= {MAX_WINDOW}")
         if not self.tokens:
             raise ValueError("window needs at least one token")
-        if self.display is not None and self.display == " ".join(self.tokens):
+        if not all(map(TOKEN.fullmatch, self.tokens)):
+            raise ValueError(f"window tokens must each be a single normalized token: {self.tokens!r}")
+        if self.display is not None and (self.display == " ".join(self.tokens) or not _balanced(self.display)):
             object.__setattr__(self, "display", None)
+
+
+def _balanced(text: str) -> bool:
+    """Whether the parentheses of ``text`` pair up, as a window phrase's must to parse."""
+    depth = 0
+    for ch in re.sub(r"[^()]+", "", text):
+        depth += 1 if ch == "(" else -1
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,12 @@ class Index:
         return dict(zip(self.vocab, np.diff(self._offsets).tolist()))
 
     def ordinal(self, doc: str | int) -> int:
+        """The ordinal of a doc id, or an ordinal itself; ``KeyError`` for any other."""
         if isinstance(doc, str):
             return self._ordinals[doc]
-        return doc
+        if isinstance(doc, bool) or not isinstance(doc, (int, np.integer)) or not 0 <= doc < self.n_docs:
+            raise KeyError(doc)  # a negative one would read from the end
+        return int(doc)
 
     def _postings(self, token: str) -> np.ndarray:
         """Ascending global positions of ``token``; empty when it never occurs."""
@@ -282,28 +285,41 @@ def _window_matches(idx: Index, windows: Sequence[LeafKey]) -> list[np.ndarray]:
     ordinals and counts of ordered position tuples with each gap in [1, n],
     one pair per final-token occurrence that ends a match.
 
-    A dynamic program over the global postings: ``ways[j]`` counts the partial
-    matches ending at the j-th kept occurrence ``p`` of the current token, which
-    extends the previous token's in ``[max(p - n, doc_start(p)), p - 1]``, in
-    its document.  Prefix sums total each range in one ``searchsorted`` for all
-    windows: slot ``s`` (longest first) codes ``p`` as ``s * (|C| + 1) + p``.
+    One state for all windows, token by token from the first: slot ``s``
+    (longest first) codes the global position ``p`` of a partial match's
+    last token as ``s * (|C| + 1) + p``, and ``ways`` counts the partial
+    matches ending there.  A step whose live windows are all ``#1`` keeps a
+    state when ``tokens[p + 1]`` is its window's next token and ``p + 1``
+    lies in ``p``'s document.  A step with any live window of n > 1 walks
+    that token's postings instead, and sums with prefix sums (one
+    ``searchsorted`` for all windows) the ways of the previous token's states
+    in ``[max(p - n, doc_start(p)), p - 1]``, at a cost that does not grow
+    with n as extending offset by offset would.
     """
     span = idx.collection_length + 1
     order = sorted(range(len(windows)), key=lambda i: -len(windows[i][1]))
     found: list = [None] * len(windows)
     live = len(order)  # slots 0..live-1 have a token at this step
     for step in range(len(windows[order[0]][1]) if order else 0):
-        posts = [idx._postings(windows[i][1][step]) for i in order[:live]]
-        counts, pos = [p.size for p in posts], np.concatenate(posts)
-        cur = np.repeat(np.arange(live, dtype=np.int64) * span, counts) + pos
-        if step == 0:
-            ways = np.ones(cur.size, dtype=np.int64)
+        toks = [windows[i][1][step] for i in order[:live]]
+        if step and all(windows[i][0] == 1 for i in order[:live]):  # each state p extends to p + 1
+            slot, pos = np.divmod(prev, span)
+            doc, want = idx._doc_of[pos], np.array([idx._term_ids.get(t, -1) for t in toks])[slot]
+            inside = pos + 1 < idx._doc_starts[doc] + idx.doc_lengths[doc]  # then pos + 1 < |C|
+            hit = inside & (idx.tokens.take(pos + 1, mode="clip") == want)  # clip: no read past |C|
+            cur, ways = prev[hit] + 1, ways[hit]
         else:
-            ns = np.repeat([windows[i][0] for i in order[:live]], counts)
-            lowest = cur - np.minimum(ns, pos - idx._doc_starts[idx._doc_of[pos]])  # in the document
-            prefix = np.concatenate(([0], np.cumsum(ways)))
-            ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
-            cur, ways = cur[ways > 0], ways[ways > 0]  # so every count is above 0
+            posts = [idx._postings(t) for t in toks]
+            counts, pos = [p.size for p in posts], np.concatenate(posts)
+            cur = np.repeat(np.arange(live, dtype=np.int64) * span, counts) + pos
+            if step == 0:
+                ways = np.ones(cur.size, dtype=np.int64)
+            else:  # a window of n > 1 is live: sum the previous token's states in range
+                ns = np.repeat([windows[i][0] for i in order[:live]], counts)
+                lowest = cur - np.minimum(ns, pos - idx._doc_starts[idx._doc_of[pos]])  # in the document
+                prefix = np.concatenate(([0], np.cumsum(ways)))
+                ways = prefix[np.searchsorted(prev, cur)] - prefix[np.searchsorted(prev, lowest)]
+                cur, ways = cur[ways > 0], ways[ways > 0]  # so every count is above 0
         ends = sum(len(windows[i][1]) > step + 1 for i in order)  # slots ends..live-1 end here
         cuts = np.searchsorted(cur, np.arange(ends, live + 1) * span).tolist()
         pairs = np.array((idx._doc_of[cur[cuts[0] :] % span], ways[cuts[0] :]))

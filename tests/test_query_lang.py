@@ -3,7 +3,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqe.errors import EmptyInput, ParseError
 from sqe.kb_graph import build_graph
@@ -38,9 +38,17 @@ def test_node_invariants():
         Weight(())
     with pytest.raises(ValueError):
         Weight(((0.0, Term("a")),))
+    # a window's tokens are each one token, as a term's is
+    for tokens in ("street", ("Street Art",), ("street art",), ("street", ""), ("a-b",), ("\u0131",)):
+        with pytest.raises(ValueError, match="window tokens"):
+            Window(1, tokens)
     # a display equal to the token join collapses to None
     assert Window(1, ("new", "york"), display="new york").display is None
     assert Window(1, ("above", "artist"), display="above (artist)").display is not None
+    # and so does one whose parentheses do not balance, which would not parse back
+    for display in ("foo)", "foo (bar", ")foo(", "(foo))("):
+        assert Window(1, ("foo", "bar"), display=display).display is None
+    assert render(phrase("Foo)")) == "#1(foo)" and render(phrase("Foo (bar")) == "#1(foo bar)"
 
 
 def test_render_examples():
@@ -127,6 +135,17 @@ def test_roundtrip_1000_random_trees():
     for _ in range(1000):
         tree = _random_tree(rng)
         assert parse(render(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(title=st.text("aB1_ !()", max_size=12))
+@example(title="Foo)")
+@example(title="Foo (bar")
+@example(title="Above_(artist)")
+def test_phrase_renders_to_text_that_parses_back(title):
+    assume(tokenize(title))
+    window = phrase(title)
+    assert parse(render(window)) == window
 
 
 def test_build_expanded_query_structure(graffiti_graph):

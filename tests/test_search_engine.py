@@ -93,6 +93,20 @@ def test_window_tf_examples():
     assert window_tf(idx, "d2", 2, ["new", "york"]) == 1
     assert window_tf(idx, "d1", 5, ["city"]) == 1  # single token counts occurrences
     assert window_tf(idx, "d1", 1, ["city", "new"]) == 0  # order matters
+    with pytest.raises(ValueError, match="window tokens"):  # not the tokens "n", "e" and "w"
+        window_tf(idx, "d1", 1, "new")
+
+
+def test_documents_are_named_by_id_or_by_an_ordinal_in_range():
+    idx = build_index(docs_from([("d1", "x y"), ("d2", "y")]))
+    assert window_tf(idx, 1, 1, ["y"]) == window_tf(idx, np.int64(1), 1, ["y"]) == 1
+    assert score_node(idx, Term("x"), 0) == score_node(idx, Term("x"), "d1")
+    # a negative ordinal would read from the end, one past the last would reach numpy
+    for doc in (-1, 2, True, False, 1.0, "d3"):
+        with pytest.raises(KeyError):
+            window_tf(idx, doc, 1, ["y"])
+        with pytest.raises(KeyError):
+            score_node(idx, Term("x"), doc)
 
 
 def test_window_tf_matches_tuple_oracle():
@@ -783,6 +797,12 @@ def window_lists(draw):
          windows=[(1, ("b", "b")), (2**62, ("b", "b", "c")), (1, ("b",)), (7, ("z", "b")),
                   (3, ("b", "b", "c", "b", "b")), (1, ("b", "b"))])
 @example(docs=[[], []], windows=[(1, ("b", "c")), (1, ("b", "c"))])  # no tokens at all
+@example(docs=[["a", "a", "b"]], windows=[(2, ("a", "b"))])  # two prefixes reach one position: ways 2
+@example(docs=[["b", "b", "b"]], windows=[(1, ("b", "b"))])  # two overlapping matches
+@example(docs=[["c", "b"], ["c"]], windows=[(1, ("b", "c"))])  # a pair across two documents
+@example(docs=[["c"], ["c", "b"]], windows=[(1, ("b", "c")), (1, ("b", "b"))])  # b is the last token
+@example(docs=[["b", "c", "b"], ["c", "b", "c", "d", "b"]],  # steps by gather and by range count
+         windows=[(1, ("b", "c", "b")), (8, ("c", "b")), (1, ("c", "b", "c", "d"))])
 def test_batched_window_dp_equals_the_per_window_loop(docs, windows):
     idx = build_index(collection_of(docs))
     found = _window_matches(idx, windows)
