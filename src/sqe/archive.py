@@ -1,10 +1,10 @@
 """Versioned column archives: the one on-disk container for indexes and snapshots.
 
 A file is an uncompressed NumPy ``.npz`` archive of a ``magic`` string, a
-format ``version`` and named columns.  A string column ``xs`` is stored as
-its UTF-8 bytes back to back under ``xs`` and each string's end offset
-under ``x_ends`` (``vocab`` under ``vocab_ends``).  Reading restores no
-Python objects, so loading a file runs no code from it.
+format ``version`` and named columns.  A string column is stored as lines:
+its strings in UTF-8, each followed by ``\\n``, in one byte array.  No
+string may hold a ``\\n``, as none can that a text file gave.  Reading
+restores no Python objects, so loading a file runs no code from it.
 """
 
 from __future__ import annotations
@@ -20,19 +20,6 @@ from .errors import FormatError
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _ends(name: str) -> str:
-    return name.removesuffix("s") + "_ends"
-
-
-def _decode(raw: bytes, ends: list[int]) -> list[str]:
-    """The strings packed back to back in ``raw``, each ending at its entry of ``ends``."""
-    starts = [0, *ends]
-    text = raw.decode("utf-8")
-    if len(text) == len(raw):  # ASCII: byte offsets are character offsets
-        return [text[a:b] for a, b in zip(starts, ends)]
-    return [raw[a:b].decode("utf-8") for a, b in zip(starts, ends)]
-
-
 @dataclass(frozen=True)
 class ArchiveFormat:
     magic: str
@@ -46,11 +33,14 @@ class ArchiveFormat:
     def save(
         self, path: str, arrays: dict[str, np.ndarray], strings: dict[str, Sequence[str]]
     ) -> None:
+        """Write ``arrays`` as they are and ``strings`` as lines; a string holding ``\\n``
+        raises ``ValueError``, as its line break would split it on load."""
         columns = dict(arrays)
         for name, values in strings.items():
-            encoded = [s.encode("utf-8") for s in values]
-            columns[name] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-            columns[_ends(name)] = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+            text = "\n".join(values) + "\n" if values else ""
+            if text.count("\n") != len(values):
+                raise ValueError(f"a string of column {name!r} holds a line break")
+            columns[name] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, magic=np.array(self.magic), version=np.array(self.version), **columns)
 
@@ -58,7 +48,8 @@ class ArchiveFormat:
         """Named columns of a file written by :meth:`save`, strings as lists of ``str``.
 
         Raises :class:`FormatError` for a foreign file, another magic or
-        version, and a missing, corrupt or truncated column.
+        version, and a missing, corrupt or truncated column: a string
+        column that is not UTF-8 or does not end in ``\\n`` is corrupt.
         """
         with open(path, "rb") as fh:
             if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
@@ -75,7 +66,9 @@ class ArchiveFormat:
                                          f"this build reads version {self.version}")
                     columns = {name: data[name] for name in arrays}
                     for name in strings:
-                        columns[name] = _decode(data[name].tobytes(), data[_ends(name)].tolist())
+                        columns[name] = data[name].tobytes().decode("utf-8").split("\n")
+                        if columns[name].pop():  # the text after the last "\n", "" in a good column
+                            raise ValueError(f"string column {name!r} does not end in a line break")
             except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
                 raise self.error(path, f"corrupt or truncated {self.noun} ({exc})") from None
         return columns

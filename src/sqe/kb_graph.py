@@ -41,8 +41,8 @@ from .text import lines, normalize_title, open_text
 
 NodeId = int
 
-_SNAPSHOT_FORMAT = ArchiveFormat(  # format version 1 was a Python object dump
-    "sqe-kb-snapshot", 2, "graph snapshot", "re-create it with `sqe ingest --out`"
+_SNAPSHOT_FORMAT = ArchiveFormat(  # version 1 was a Python object dump, 2 stored string end offsets
+    "sqe-kb-snapshot", 3, "graph snapshot", "re-create it with `sqe ingest --out`"
 )
 
 
@@ -392,6 +392,18 @@ def load_graph(nodes_path: str, edges_path: str) -> KBGraph:
         return _graph(ids, kinds, titles, edges, nodes_path)
 
 
+@contextlib.contextmanager
+def _at_node_index(path: str):
+    """Re-raise a node row's fault, numbered from 1, at the row's index in the columns of snapshot
+    ``path``, and a node field that no TSV row can hold as a fault of the file."""
+    try:
+        yield
+    except FormatError as exc:
+        raise _SNAPSHOT_FORMAT.error(path, f"node at index {exc.line - 1}: {exc.reason}") from None
+    except ValueError as exc:
+        raise _SNAPSHOT_FORMAT.error(path, str(exc)) from None
+
+
 def save_snapshot(g: KBGraph, path: str) -> None:
     """Write a versioned ``.npz`` snapshot: node columns and int32 edge columns."""
     kinds = np.where(g._is_category, ord(NodeKind.CATEGORY.value), ord(NodeKind.ARTICLE.value))
@@ -409,7 +421,8 @@ def load_snapshot(path: str) -> KBGraph:
     if not (kinds.ndim == 1 and kinds.dtype == np.uint8
             and kinds.size == len(ext_ids) == len(titles)):
         raise _SNAPSHOT_FORMAT.error(path, "node columns do not fit together")
-    ids, kinds, titles = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
+    with _at_node_index(path):
+        ids, kinds, titles = _make_nodes(zip(ext_ids, kinds.tobytes().decode("latin-1"), titles), path)
     edges = []
     for kind in EdgeKind:
         src, dst = columns[f"{kind.value}_src"], columns[f"{kind.value}_dst"]
@@ -419,7 +432,5 @@ def load_snapshot(path: str) -> KBGraph:
         if fault := _edge_fault(kinds, src, dst, *kind.value.encode()):
             raise _SNAPSHOT_FORMAT.error(path, f"{kind.value} edge at index {fault[0]}: {fault[1]}")
         edges.append(np.stack([src, dst], axis=1))
-    try:
+    with _at_node_index(path):
         return _graph(ids, kinds, titles, np.concatenate(edges, dtype=np.int64), path)
-    except ValueError as exc:  # a node field that no TSV row can hold
-        raise _SNAPSHOT_FORMAT.error(path, str(exc)) from None

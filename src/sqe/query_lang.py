@@ -47,8 +47,9 @@ class Window:
 
     Each token is one ``text.TOKEN``.  ``display`` keeps the raw phrase
     when it differs from the plain token join (titles such as "above
-    (artist)") and its parentheses balance, so that it parses back;
-    otherwise it is None.  Matching always uses tokens.
+    (artist)"), its parentheses balance and it tokenizes to ``tokens``,
+    so that it parses back to this window; otherwise it is None.
+    Matching always uses tokens.
     """
 
     n: int
@@ -65,7 +66,9 @@ class Window:
             raise ValueError("window needs at least one token")
         if not all(map(TOKEN.fullmatch, self.tokens)):
             raise ValueError(f"window tokens must each be a single normalized token: {self.tokens!r}")
-        if self.display is not None and (self.display == " ".join(self.tokens) or not _balanced(self.display)):
+        if self.display is not None and (  # cheapest test first: a plain title pays no tokenize
+                self.display == " ".join(self.tokens) or not _balanced(self.display)
+                or tuple(tokenize(self.display)) != self.tokens):
             object.__setattr__(self, "display", None)
 
 

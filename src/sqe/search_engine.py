@@ -238,7 +238,7 @@ def build_index(docs: Iterable[Document]) -> Index:
 
 # -- index files ----------------------------------------------------------------
 
-_INDEX_FORMAT = ArchiveFormat("sqe-index", 2, "index", "rebuild it with `sqe index`")
+_INDEX_FORMAT = ArchiveFormat("sqe-index", 3, "index", "rebuild it with `sqe index`")
 
 
 def save_index(idx: Index, path: str) -> None:
@@ -260,14 +260,21 @@ def load_index(path: str) -> Index:
 
 
 def read_documents(path: str) -> Iterable[Document]:
-    """JSON-lines: one object per line with fields ``id`` and ``text``."""
+    """JSON-lines: one object per line with fields ``id``, a string or an integer, and ``text``, a string."""
     seen: set[str] = set()
     for lineno, line in lines(path):
         try:
             obj = json.loads(line)
-            doc_id, text = str(obj["id"]), str(obj["text"])
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:  # the last: too deep
+            doc_id, text = obj["id"], obj["text"]
+        # ValueError: JSONDecodeError, or an integer of more digits than int() takes; RecursionError: too deep
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise FormatError(path, lineno, f"bad document line ({exc})") from None
+        if type(doc_id) is int:  # not a bool, which is an int too
+            doc_id = str(doc_id)
+        if not isinstance(doc_id, str):
+            raise FormatError(path, lineno, f"document id {doc_id!r} is not a JSON string or integer")
+        if not isinstance(text, str):
+            raise FormatError(path, lineno, f"document text {text!r} is not a JSON string")
         if not is_run_id(doc_id):
             raise FormatError(path, lineno, f"document id {doc_id!r} is empty or holds whitespace")
         if doc_id in seen:

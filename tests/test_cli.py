@@ -644,31 +644,33 @@ def _edited_archive(**changes):
 
 
 def _edited_strings(name: str, edit):
-    """Rewrite the first good file given with its string column ``name`` passed through ``edit``."""
-    ends = name.removesuffix("s") + "_ends"
-
+    """Rewrite the first good file given with its string column ``name``, stored as lines (each
+    string followed by a line break), passed through ``edit``."""
     def make(good: Path, _other: Path, path: Path) -> None:
         with np.load(good) as data:
             arrays = dict(data)
-        raw, cuts = arrays[name].tobytes(), [0, *arrays[ends].tolist()]
-        encoded = [v.encode() for v in edit([raw[a:b].decode() for a, b in zip(cuts, cuts[1:])])]
-        arrays[name] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        arrays[ends] = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+        values = edit(arrays[name].tobytes().decode().split("\n")[:-1])
+        arrays[name] = np.frombuffer("".join(v + "\n" for v in values).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     return make
 
 
-# strings that no text file can hold, which a binary file must not hold either; the reason each names
+# strings that no text file can hold, which a binary file must not hold either, and node rows that a
+# nodes file is refused for; the reason each names
 NOT_IN_TEXT = {
     "repeated-word": "repeats or is not one token",
     "word-not-a-token": "repeats or is not one token",
     "empty-doc-id": "empty or holds whitespace",
     "doc-id-with-space": "empty or holds whitespace",
     "repeated-doc-id": "appears twice",
-    "title-with-newline": "holds a tab or line break",
+    # a stored line break ends a title: one title more than there are kinds
+    "title-with-newline": "node columns do not fit together",
     "title-with-cr": "holds a tab or line break",
     "ext-id-with-tab": "holds a tab or line break",
+    "repeated-ext-id": "node at index 1: duplicate node id 'a2'",
+    "repeated-title": "node at index 1: duplicate normalized title",
+    "empty-title": "node at index 0: empty title",
 }
 
 
@@ -683,6 +685,7 @@ STALE_INDEXES = {
     "snapshot": lambda good, kb, path: path.write_bytes(kb.read_bytes()),
     "truncated": lambda good, kb, path: path.write_bytes(good.read_bytes()[:-100]),
     "bumped-version": _edited_archive(version=lambda a: a["version"] + 1),
+    "previous-version": _edited_archive(version=lambda a: np.array(2)),
     "unequal-columns": _edited_archive(doc_lengths=lambda a: a["doc_lengths"][:-1]),
     "repeated-word": _edited_strings("vocab", lambda words: [words[1], *words[1:]]),
     "word-not-a-token": _edited_strings("vocab", lambda words: ["Wall Art", *words[1:]]),
@@ -704,7 +707,7 @@ def test_foreign_or_stale_index_exits_2(kind, tmp_path, graffiti_kb, graffiti_in
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"sqe: error: {path}: ") and err.count("\n") == 1  # the file is named
-    if kind in ("pickle", "bumped-version"):
+    if kind in ("pickle", "bumped-version", "previous-version"):
         assert "rebuild it with `sqe index`" in err
     assert NOT_IN_TEXT.get(kind, "") in err
 
@@ -726,6 +729,7 @@ STALE_SNAPSHOTS = {
     "tsv": lambda kb, index, path: path.write_text("73\tgraffiti street art\n"),
     "truncated": lambda kb, index, path: path.write_bytes(kb.read_bytes()[:-100]),
     "bumped-version": _edited_archive(version=lambda a: a["version"] + 1),
+    "previous-version": _edited_archive(version=lambda a: np.array(2)),
     # snapshots were pickled dicts before the columnar file format
     "pickle": lambda kb, index, path: path.write_bytes(pickle.dumps(
         {"magic": "sqe-kb-snapshot", "version": 1, "nodes": [("a1", "A", "Graffiti")],
@@ -743,6 +747,9 @@ STALE_SNAPSHOTS = {
     "title-with-newline": _edited_strings("titles", lambda titles: ["Graffiti\nart", *titles[1:]]),
     "title-with-cr": _edited_strings("titles", lambda titles: ["Graffiti\r", *titles[1:]]),
     "ext-id-with-tab": _edited_strings("ext_ids", lambda ids: ["a\t1", *ids[1:]]),
+    "repeated-ext-id": _edited_strings("ext_ids", lambda ids: [ids[1], *ids[1:]]),
+    "repeated-title": _edited_strings("titles", lambda titles: [titles[1], *titles[1:]]),
+    "empty-title": _edited_strings("titles", lambda titles: ["", *titles[1:]]),
 }
 
 
@@ -754,8 +761,8 @@ def test_foreign_or_stale_snapshot_exits_2(kind, tmp_path, graffiti_kb, graffiti
     code = main(["link", "--kb", str(path), "--text", "graffiti"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("sqe: error:") and err.count("\n") == 1
-    if kind in ("pickle", "bumped-version"):
+    assert err.startswith(f"sqe: error: {path}: ") and err.count("\n") == 1  # the file is named
+    if kind in ("pickle", "bumped-version", "previous-version"):
         assert "re-create it with `sqe ingest --out`" in err
     assert NOT_IN_TEXT.get(kind, "") in err
 

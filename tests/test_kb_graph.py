@@ -136,8 +136,9 @@ def test_duplicate_title_names_the_later_row(tmp_path):
     strings = {"ext_ids": columns.pop("ext_ids"), "titles": [t for _e, _k, t in rows]}
     fmt.save(path, columns, strings)
     with pytest.raises(FormatError) as err:
-        load_snapshot(path)
-    assert err.value.line == 4 and f"{path}:" in str(err.value)
+        load_snapshot(path)  # a binary file has no lines: the node's index in its columns, from 0
+    assert err.value.line is None and str(err.value).startswith(
+        f"{path}: node at index 3: duplicate normalized title 'cable car' for kind A; re-create it")
 
 
 def write_spaced_tsv(path, rows):
@@ -426,6 +427,19 @@ def test_archive_string_columns_round_trip(tmp_path, values):
     path = str(tmp_path / "strings.bin")
     fmt.save(path, {}, {"names": values})
     assert fmt.load(path, [], ["names"])["names"] == values
+
+
+def test_archive_string_columns_are_lines(tmp_path):
+    fmt = sqe.kb_graph._SNAPSHOT_FORMAT
+    path = str(tmp_path / "strings.bin")
+    with pytest.raises(ValueError, match="'names' holds a line break"):
+        fmt.save(path, {}, {"names": ["a", "b\nc"]})
+    for raw, reason in ((b"a\nb", "'names' does not end in a line break"), (b"a\n\xff\n", "utf-8")):
+        with open(path, "wb") as fh:
+            np.savez(fh, magic=np.array(fmt.magic), version=np.array(fmt.version),
+                     names=np.frombuffer(raw, dtype=np.uint8))
+        with pytest.raises(FormatError, match=f"corrupt or truncated graph snapshot .*{reason}"):
+            fmt.load(path, [], ["names"])
 
 
 def test_empty_snapshot_round_trip(tmp_path):

@@ -49,6 +49,8 @@ def test_node_invariants():
     for display in ("foo)", "foo (bar", ")foo(", "(foo))("):
         assert Window(1, ("foo", "bar"), display=display).display is None
     assert render(phrase("Foo)")) == "#1(foo)" and render(phrase("Foo (bar")) == "#1(foo bar)"
+    # and so does one that tokenizes to other tokens, which would parse back as those
+    assert Window(1, ("banksy",), display="street art").display is None
 
 
 def test_render_examples():
@@ -146,6 +148,18 @@ def test_phrase_renders_to_text_that_parses_back(title):
     assume(tokenize(title))
     window = phrase(title)
     assert parse(render(window)) == window
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), tokens=st.lists(st.sampled_from(["a", "b", "b1", "ab"]), min_size=1, max_size=3),
+       display=st.text("aB1_ ()", max_size=12))
+@example(n=1, tokens=["banksy"], display="street art")
+@example(n=2, tokens=["a", "b"], display="A_(b)")
+@example(n=1, tokens=["a", "b1"], display="a (b1")
+def test_any_window_renders_to_text_that_parses_back_to_its_tokens(n, tokens, display):
+    window = Window(n, tuple(tokens), display=display)
+    back = parse(render(window))
+    assert (back.n, back.tokens) == (window.n, window.tokens)
 
 
 def test_build_expanded_query_structure(graffiti_graph):

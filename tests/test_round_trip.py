@@ -74,6 +74,7 @@ def graph_rows(draw):
 @example(rows=([("a\t1", "A", "Graffiti")], []))
 @example(rows=([("a1", "A", "Graffiti\r")], []))
 @example(rows=([("a1", "A", "Graffiti"), ("c 1", "C", "Street art é")], [("a1", "c 1", "AC")]))
+@example(rows=([("", "A", "Graffiti"), ("c1", "C", "Street art")], [("", "c1", "AC")]))  # an empty ext id
 def test_a_built_graph_reads_back(rows, tmp_path_factory):
     try:
         g = build_graph(*rows)
@@ -107,6 +108,30 @@ def test_a_built_ranked_list_reads_back(fields, scores, tmp_path_factory):
     path = tmp_path_factory.mktemp("run") / "run.trec"
     path.write_text(out.getvalue())
     assert read_trec_run(str(path)) == ([run] if entries else [])  # a list with no rows writes no line
+
+
+# each file format's (magic, version) and the columns, with their dtypes, that its files hold: a
+# change of layout that keeps the version fails here, as it would fail to read an older file
+LAYOUTS = {
+    ("sqe-index", 3): {"doc_ids": "uint8", "doc_lengths": "int64", "tokens": "int32", "vocab": "uint8"},
+    ("sqe-kb-snapshot", 3): {
+        "AA_dst": "int32", "AA_src": "int32", "AC_dst": "int32", "AC_src": "int32", "CC_dst": "int32",
+        "CC_src": "int32", "ext_ids": "uint8", "kinds": "uint8", "titles": "uint8",
+    },
+}
+
+
+def test_each_file_layout_is_pinned_to_its_version(tmp_path):
+    index, snapshot = str(tmp_path / "idx.npz"), str(tmp_path / "kb.npz")
+    save_index(build_index([Document("d1", ["banksy"])]), index)
+    save_snapshot(build_graph([("a1", "A", "Graffiti"), ("c1", "C", "Art")], [("a1", "c1", "AC")]), snapshot)
+    layouts = {}
+    for path in (index, snapshot):
+        with np.load(path) as data:
+            key = (data["magic"].item(), int(data["version"]))
+            layouts[key] = {name: data[name].dtype.name for name in data.files
+                            if name not in ("magic", "version")}
+    assert layouts == LAYOUTS
 
 
 def test_the_builders_refuse_what_no_file_can_hold():

@@ -494,10 +494,22 @@ def test_read_documents(tmp_path):
     docs = list(read_documents(str(path)))
     assert [d.doc_id for d in docs] == ["d1", "d2"]
     assert docs[0].tokens == ["hello", "world"]
+    path.write_text('{"id": 7, "text": "x"}\n{"id": -1, "text": ""}\n')  # an integer id is its digits
+    assert [d.doc_id for d in read_documents(str(path))] == ["7", "-1"]
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "d1"}\n')
-    with pytest.raises(FormatError):
-        list(read_documents(str(bad)))
+    for line, reason in (
+        ('{"id": "d1"}', "bad document line"),
+        ('{"id": null, "text": "banksy"}', "document id None is not a JSON string or integer"),
+        ('{"id": true, "text": "banksy"}', "document id True is not a JSON string or integer"),
+        ('{"id": 1.5, "text": "banksy"}', "document id 1.5 is not a JSON string or integer"),
+        ('{"id": ["x"], "text": {"a": 1}}', r"document id \['x'\] is not a JSON string or integer"),
+        ('{"id": "d2", "text": null}', "document text None is not a JSON string"),
+        ('{"id": "d2", "text": ["banksy"]}', "document text .* is not a JSON string"),
+        ('{"id": ' + "1" * 5000 + ', "text": "x"}', "bad document line"),  # more digits than int() takes
+    ):
+        bad.write_text(f'{{"id": "d0", "text": "x"}}\n{line}\n')
+        with pytest.raises(FormatError, match=f"^line 2: .*: {reason}"):
+            list(read_documents(str(bad)))
 
 
 def test_guards_of_search_and_ranked_lists():
@@ -537,7 +549,7 @@ def test_index_checks_its_columns_where_built():
 
 
 def test_index_file_round_trip(tmp_path):
-    docs = [  # non-ASCII ids take the archive's per-string decode; load_index rejects what no text file holds
+    docs = [  # non-ASCII ids and an empty document; load_index rejects what no text file holds
         Document("dé1", ["e", "b"]),
         Document("ü", []),
         Document("ü-x", ["b", "e", "e", "b"]),
