@@ -18,11 +18,11 @@ fixed, so an entry can never serve a call it does not fit:
   sums the two), and ``leaves`` maps each term or window to its dense
   score vector over the collection for the request's index and mu.
 * per batch, in ``run_batch``: ``matches`` maps each multi-token window
-  to the (document ordinal, count) pairs of its matches whose count is
-  above 0, from which each request's ``leaves`` rebuilds its dense
-  vectors; ``phrases`` maps each normalized title to its
-  exact-phrase window, for the entity and feature phrases of every plan
-  entry of every request.
+  to its (document ordinal, count) pairs, one per position that ends a
+  match, with the count of matches ending there, from which each
+  request's ``leaves`` rebuilds its dense vectors; ``phrases`` maps each
+  normalized title to its exact-phrase window, for the entity and feature
+  phrases of every plan entry of every request.
 
 None of them is kept on the index, the graph or this module.
 """

@@ -5,7 +5,10 @@ The operator set is a deliberately small subset of the Indri language:
 takes a normalized weighted sum, ``#N(tok tok)`` is an ordered window
 with at most N-1 positions between consecutive tokens (``#1`` is exact
 phrase matching), and a bare token matches a single term.  Trees render
-to text and parse back; render and parse are inverse up to whitespace.
+to text and parse back; render and parse are inverse up to whitespace, as
+a weight renders as the shortest positional decimal that reads back to it.
+A ``#weight`` takes finite weights above 0 with a finite sum, each weight's
+share of that sum above 0.
 Parsed text nests operators at most ``MAX_DEPTH`` deep.  An expanded
 query takes its entity and its feature phrases from one ``Phrases`` memo,
 keyed by normalized title under the memo rule of :mod:`sqe.pipeline`.
@@ -17,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from .errors import EmptyInput, ParseError
 from .kb_graph import KBGraph
@@ -102,8 +107,11 @@ class Weight:
         )
         if not self.entries:
             raise ValueError("weight needs at least one entry")
-        if not 0 < min(w for w, _c in self.entries) <= sum(w for w, _c in self.entries) < math.inf:
+        least, total = min(w for w, _c in self.entries), sum(w for w, _c in self.entries)
+        if not 0 < least <= total < math.inf:
             raise ValueError("weights must be finite and strictly positive, with a finite sum")
+        if least / total == 0.0:  # its share would scale a -inf leaf to nan (see search_engine)
+            raise ValueError("each weight's share of the sum must be above 0")
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,8 @@ def build_expanded_query(
 
 
 def render(q: QueryNode) -> str:
-    """Single-line text form; weights printed with one decimal."""
+    """Single-line text form; each weight printed as the shortest positional
+    decimal that reads back to it, so ``parse`` returns an equal tree."""
     if isinstance(q, Term):
         return q.token
     if isinstance(q, Window):
@@ -198,7 +207,7 @@ def render(q: QueryNode) -> str:
     if isinstance(q, Combine):
         return "#combine( " + " ".join(render(c) for c in q.children) + " )"
     if isinstance(q, Weight):
-        inner = " ".join(f"{w:.1f} {render(c)}" for w, c in q.entries)
+        inner = " ".join(f"{np.format_float_positional(w, trim='0')} {render(c)}" for w, c in q.entries)
         return "#weight( " + inner + " )"
     raise TypeError(f"not a query node: {q!r}")
 
@@ -264,8 +273,11 @@ class _Parser:
         if self.text.startswith("weight", self.pos):
             self.pos += len("weight")
             entries = self.parse_operands("weight", "(weight, node) entry", lambda: self.parse_entry(depth))
-            if sum(w for w, _c in entries) == math.inf:
+            least, total = min(w for w, _c in entries), sum(w for w, _c in entries)
+            if total == math.inf:
                 raise ParseError(start, "weights with a finite sum")
+            if least / total == 0.0:
+                raise ParseError(start, "weights whose shares of their sum are above 0")
             return Weight(entries)
         raise self.error("'combine', 'weight' or a window size")
 

@@ -22,8 +22,8 @@ never changed once stored:
 
 * the ``Leaves`` dict itself: each term's and window's dense score vector,
   a row of its query's leaf block, keyed by ``(n, tokens)``, for one index and one ``mu``.
-* ``Leaves.matches``: each multi-token window's match pairs, the
-  document ordinals and counts where the count is above 0, keyed by
+* ``Leaves.matches``: each multi-token window's match pairs, one
+  (document ordinal, count) pair per position that ends a match, keyed by
   ``(n, tokens)``, for one index.
 """
 
@@ -493,9 +493,10 @@ def prf_expand(
     """Relevance-model feedback over the top retrieved documents.
 
     Term weights are w(t) = sum over feedback docs of P(t|d) times the
-    softmax-normalized document score.  Stopwords and the query's own
-    tokens are dropped, and so is a term whose weight underflows to 0; the
-    top ``fb_terms`` remainder re-weights the original query as
+    softmax-normalized document score, added in rank order from one count
+    of the feedback documents' (rank, term) pairs.  Stopwords and the
+    query's own tokens are dropped, and so is a term whose weight underflows
+    to 0; the top ``fb_terms`` remainder re-weights the original query as
     (orig_weight, q) + (1 - orig_weight, feedback).
     With no retrievable documents, a best feedback score of -inf (see the
     module docstring) or fb_terms <= 0 the query is returned unchanged.
@@ -510,18 +511,14 @@ def prf_expand(
     soft /= soft.sum()
 
     excluded = query_tokens(q) | (stopwords if stopwords is not None else default_stopwords())
+    starts, lengths = idx._doc_starts[top].tolist(), idx.doc_lengths[top]
+    tokens = np.concatenate([idx.tokens[s : s + n] for s, n in zip(starts, lengths.tolist())])
+    # (rank, term) codes sort rank-major, so np.add.at adds each term's shares in rank order from 0.0
+    codes, tf = np.unique(np.repeat(np.arange(top.size), lengths) * len(idx.vocab) + tokens, return_counts=True)
+    ranks, terms = np.divmod(codes, len(idx.vocab))
     weights = np.zeros(len(idx.vocab))
-    for rank, ordinal in enumerate(top.tolist()):
-        dlen = int(idx.doc_lengths[ordinal])
-        if not dlen:
-            continue
-        start = idx._doc_starts[ordinal]
-        terms, tf = np.unique(idx.tokens[start : start + dlen], return_counts=True)
-        weights[terms] += soft[rank] * tf / dlen
-    for tok in excluded:
-        t = idx._term_ids.get(tok)
-        if t is not None:
-            weights[t] = 0.0
+    np.add.at(weights, terms, soft[ranks] * tf / lengths[ranks])
+    weights[[t for t in map(idx._term_ids.get, excluded) if t is not None]] = 0.0
     by_term = idx._by_term[weights[idx._by_term] != 0]  # a share that underflows to 0 adds no term
     if not by_term.size:
         return q

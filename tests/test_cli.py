@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -973,6 +974,13 @@ _CALLS = st.sampled_from(sorted(GOOD_CALLS)).flatmap(lambda command: st.tuples(
                                          _VALUES), max_size=3)))
 
 
+def test_every_flag_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [(command, flag) for command, options in OPTIONS.items() for flag, _value in options
+               if not re.search(re.escape(flag) + r"(?![\w-])", readme)]  # "--k" is not "--kb"
+    assert missing == []
+
+
 def _mu_underflows(argv: list[str]) -> bool:
     """Whether the mu a good call scored with makes ``mu * UNSEEN_CF / |C|`` underflow to 0
     on its index: only then may a document without a query's pattern score -inf."""
@@ -1004,6 +1012,8 @@ def _mu_underflows(argv: list[str]) -> bool:
 @example(call=("analyze-cycles", [("--kb", "\ud800")]))  # a path the file system cannot encode
 @example(call=("run", [("--out", "\ud800")]))
 @example(call=("search", [("--mu", "5e-324")]))  # -inf for the documents without "banksy"
+@example(call=("search", [("--mu", "5e-324"),  # a share of 0.0 would scale such a -inf to nan
+                          ("--query", f"#weight( 0.{'0' * 319}1 banksy 1{'0' * 300} stencil )")]))
 def test_fuzzed_option_values_never_crash(call, tmp_path, bang_kb, graffiti_index_file,
                                           monkeypatch, capsys):
     """Any value for any option ends in exit 0, 1 or 2, never in a traceback, and a

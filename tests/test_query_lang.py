@@ -93,6 +93,8 @@ PARSE_ERRORS = {
     "#combine banksy": (8, "'(' after #combine"),
     # each weight is 1e308, their sum is past the float range
     f"#weight( 1{'0' * 308} banksy 1{'0' * 308} stencil )": (0, "weights with a finite sum"),
+    # 1e-320 over 1e300 underflows to a share of 0.0
+    f"#weight( 0.{'0' * 319}1 banksy 1{'0' * 300} stencil )": (0, "weights whose shares of their sum are above 0"),
 }
 
 
@@ -137,6 +139,18 @@ def test_roundtrip_1000_random_trees():
     for _ in range(1000):
         tree = _random_tree(rng)
         assert parse(render(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=4))
+@example(weights=[0.04, 1.0])  # needs two decimals: 0.0 does not parse
+@example(weights=[0.25, 0.75])  # needs two decimals: 0.2 is another weight
+@example(weights=[5e-324, 1.0])
+@example(weights=[1e300, 2.0**53 - 1])
+def test_weights_render_to_text_that_parses_back_to_them(weights):
+    assume(sum(weights) < math.inf and min(weights) / sum(weights) > 0)
+    tree = Weight(tuple((w, Term(f"t{i}")) for i, w in enumerate(weights)))
+    assert parse(render(tree)) == tree
 
 
 @settings(max_examples=300, deadline=None)
@@ -302,6 +316,9 @@ def test_nodes_reject_numbers_that_do_not_fit():
         with pytest.raises(ValueError, match="with a finite sum"):
             Weight(tuple(entries))
     assert Weight(((1e308, Term("a")), (7e307, Term("b")))).entries[1][0] == 7e307  # a sum that fits
+    with pytest.raises(ValueError, match="share of the sum must be above 0"):
+        Weight(((1e-320, Term("a")), (1e300, Term("b"))))
+    assert Weight(((5e-324, Term("a")), (1.0, Term("b")))).entries[0][0] == 5e-324  # a share that fits
 
 
 @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])

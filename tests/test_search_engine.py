@@ -960,8 +960,10 @@ def test_by_term_lists_term_ids_in_term_order(docs, tmp_path_factory):
 
 
 def prf_expand_full_sort(idx, q, fb_docs, fb_terms, orig_weight, stopwords, mu):
-    """``prf_expand`` as it chose its terms before ``_best``: a Python sort of every
-    candidate by ``(-weight, term)``, then a slice."""
+    """``prf_expand`` as it weighed and chose its terms before its one count and
+    ``_best``: one ``np.unique`` and one add per feedback document, one write per
+    excluded word, then a Python sort of every candidate by ``(-weight, term)``
+    and a slice."""
     if fb_terms <= 0 or fb_docs <= 0 or idx.n_docs == 0:
         return q
     top, scores = _top(idx, q, fb_docs, mu, None)
