@@ -174,7 +174,7 @@ class KBGraph:
         """The categories among ``i``'s neighbors, sorted: for a category,
         its CC partners in either direction, as only CC edges join two."""
         row = self.links(i)[0]
-        return row[self._is_category[row]]
+        return row[self._is_category.take(row)]  # take skips the casting path of an int32 index
 
     def edge_count(self, kind: EdgeKind) -> int:
         return len(self._edges()[kind][0])

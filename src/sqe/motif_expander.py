@@ -36,34 +36,56 @@ class QueryGraph:
 
 # input set -> its TRIANGULAR and SQUARE query graphs
 Expansions = dict[frozenset[NodeId], tuple[QueryGraph, QueryGraph]]
+# an input node's (candidate, triangular weight, square weight) rows
+Walk = list[tuple[NodeId, int, int]]
+# input node -> its walk
+Walks = dict[NodeId, Walk]
 
 
-def _motif_graphs(g: KBGraph, inputs: Iterable[NodeId]) -> tuple[QueryGraph, QueryGraph]:
-    """The triangular and square query graphs of ``inputs``, from one walk."""
+def _walk(g: KBGraph, i: NodeId) -> Walk:
+    """``i``'s doubly linked candidates with their triangular and square
+    weights, in double-link order, less those that weigh 0 for both."""
+    cats_i = g.categories_of(i)
+    # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
+    linked: Counter[NodeId] = Counter()
+    for ci in cats_i:
+        linked.update(g.linked_categories(ci).tolist())
+    rows = []
+    for a in map(int, g.doubly_linked_neighbors(i)):
+        cats_a = g.categories_of(a)
+        # no category, no triangle: the third corner is a shared one
+        tri = len(cats_i) if cats_i and cats_i <= cats_a else 0
+        sq = sum(linked[ca] for ca in cats_a)
+        if tri or sq:
+            rows.append((a, tri, sq))
+    return rows
+
+
+def _motif_graphs(
+    g: KBGraph, inputs: Iterable[NodeId], walks: Walks | None = None
+) -> tuple[QueryGraph, QueryGraph]:
+    """The triangular and square query graphs of ``inputs``: the sum of their
+    walks, taken in input order from ``walks`` or made and kept there."""
     nodes = sorted(set(inputs))
     if not nodes:
         raise EmptyInput("expansion needs at least one input node")
     for i in nodes:
         if not g.is_article(i):
             raise NotAnArticle(f"input node {i} ({g.title(i)!r}) is not an article")
+    walks = {} if walks is None else walks
     input_set = frozenset(nodes)
     tri: Counter[NodeId] = Counter()
     sq: Counter[NodeId] = Counter()
     for i in nodes:
-        cats_i = g.categories_of(i)
-        # linked[c]: how many of i's categories c is CC-joined to (no CC self-loop survives loading)
-        linked: Counter[NodeId] = Counter()
-        for ci in cats_i:
-            linked.update(g.linked_categories(ci).tolist())
-        for a in map(int, g.doubly_linked_neighbors(i)):
+        if i not in walks:
+            walks[i] = _walk(g, i)
+        for a, t, s in walks[i]:
             if a in input_set:
                 continue
-            cats_a = g.categories_of(a)
-            if cats_i and cats_i <= cats_a:  # no category, no triangle: the third corner is a shared one
-                tri[a] += len(cats_i)
-            pairs = sum(linked[ca] for ca in cats_a)
-            if pairs:
-                sq[a] += pairs
+            if t:
+                tri[a] += t
+            if s:
+                sq[a] += s
     return (QueryGraph(input_set, dict(tri), MotifKind.TRIANGULAR),
             QueryGraph(input_set, dict(sq), MotifKind.SQUARE))
 
@@ -83,17 +105,22 @@ def expand(
     inputs: Iterable[NodeId],
     kind: MotifKind,
     shared: Expansions | None = None,
+    walks: Walks | None = None,
 ) -> QueryGraph:
     """Build a query graph with one motif family or the weight-sum of both.
 
-    ``shared`` is a caller-owned memo, keyed by input set under the memo
-    rule of :mod:`sqe.pipeline`: one walk fills an entry with both motif
-    graphs, and BOTH is the sum of the two.
+    ``shared`` and ``walks`` are caller-owned memos under the memo rule of
+    :mod:`sqe.pipeline`, and both must belong to ``g``.  ``shared`` is keyed
+    by input set: one sum of walks fills an entry with both motif graphs,
+    and BOTH is the sum of the two.  ``walks`` is keyed by input node: an
+    entry holds that node's candidate rows with both weights, for every
+    input set that holds the node.  Either memo left out lives for this
+    call only.
     """
     key = frozenset(inputs)
     shared = {} if shared is None else shared
     if key not in shared:
-        shared[key] = _motif_graphs(g, key)
+        shared[key] = _motif_graphs(g, key, walks)
     tri, sq = shared[key]
     if kind is not MotifKind.BOTH:
         return tri if kind is MotifKind.TRIANGULAR else sq

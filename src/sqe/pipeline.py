@@ -14,15 +14,18 @@ holds, and lives as long as everything else that result depends on is
 fixed, so an entry can never serve a call it does not fit:
 
 * per request, in ``run_request_detailed``: ``expansions`` maps an input
-  set to its TRIANGULAR and SQUARE graphs from one walk (a BOTH entry
-  sums the two), and ``leaves`` maps each term or window to its dense
+  set to its TRIANGULAR and SQUARE graphs, one sum of its inputs' walks
+  (a BOTH entry sums the two), and ``leaves`` maps each term or window to its dense
   score vector over the collection for the request's index and mu.
 * per batch, in ``run_batch``: ``matches`` maps each multi-token window
   to its (document ordinal, count) pairs, one per position that ends a
   match, with the count of matches ending there, from which each
   request's ``leaves`` rebuilds its dense vectors; ``phrases`` maps each
   normalized title to its exact-phrase window, for the entity and feature
-  phrases of every plan entry of every request.
+  phrases of every plan entry of every request; ``walks`` maps each input
+  node to its motif walk (each candidate it weighs, with both weights),
+  which holds for as long as the graph does, and from which each
+  request's ``expansions`` sums its input sets' graphs.
 
 None of them is kept on the index, the graph or this module.
 """
@@ -40,7 +43,7 @@ import numpy as np
 from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
-from .motif_expander import Expansions, MotifKind, expand
+from .motif_expander import Expansions, MotifKind, Walks, expand
 from .query_lang import Phrases, build_expanded_query
 from .search_engine import (
     DEFAULT_MU,
@@ -79,6 +82,14 @@ OPEN_UNIT = Rule(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1"
 _SWITCH = dict.fromkeys(("on", "true", "1", "yes"), True) | dict.fromkeys(("off", "false", "0", "no"), False)
 
 
+def _plan_kind(label: str, kind) -> MotifKind:
+    try:
+        return MotifKind(kind)
+    except ValueError:
+        kinds = "/".join(k.value for k in MotifKind)
+        raise ValueError(f"plan entry {label!r} kind must be one of {kinds}, got {kind!r}") from None
+
+
 @dataclass
 class PipelineConfig:
     plan: tuple[tuple[str, MotifKind], ...] = DEFAULT_PLAN
@@ -95,7 +106,7 @@ class PipelineConfig:
     tag: str = "sqe"
 
     def __post_init__(self):
-        self.plan = tuple((str(l), MotifKind(k) if not isinstance(k, MotifKind) else k) for l, k in self.plan)
+        self.plan = tuple((str(l), _plan_kind(str(l), k)) for l, k in self.plan)
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
         labels = [l for l, _k in self.plan]
         if len(set(labels)) != len(labels):
@@ -146,7 +157,7 @@ class PipelineConfig:
                 bad = [pair[0] for pair in pairs if len(pair) == 1]
                 if bad:
                     raise FormatError(path, None, f"plan entry {bad[0]!r} is not label:kind")
-                kwargs["plan"] = tuple((l.strip(), MotifKind(k.strip().lower())) for l, k in pairs)
+                kwargs["plan"] = tuple((l.strip(), k.strip().lower()) for l, k in pairs)
             elif f.name == "cutoffs":  # an empty value is no cutoffs, for a one-entry plan
                 kwargs["cutoffs"] = tuple(int(c) for c in text.split(",")) if text else ()
             elif f.name == "prf":
@@ -234,12 +245,14 @@ def run_request_detailed(
     *,
     matches: WindowMatches,
     phrases: Phrases,
+    walks: Walks | None = None,
 ) -> tuple[RankedList, RequestReport]:
     """One request through link, per-plan expansion, search and merge.
 
     ``run_batch`` builds ``linker``, ``stopwords``, the window ``matches``
-    memo and the ``phrases`` memo once and passes them to each of its
-    requests.
+    memo, the ``phrases`` memo and the ``walks`` memo once and passes them
+    to each of its requests; with no ``walks``, each input set walks its
+    inputs anew.
     """
     report = RequestReport(req.request_id)
     t0 = time.perf_counter()
@@ -269,7 +282,7 @@ def run_request_detailed(
         qg = None
         if inputs:
             t0 = time.perf_counter()
-            qg = expand(g, inputs, kind, expansions)
+            qg = expand(g, inputs, kind, expansions, walks)
             report.expansion_sizes[label] = len(qg.expansion)
             report.timings_ms[f"expand_{label}"] = (time.perf_counter() - t0) * 1000
 
@@ -303,8 +316,8 @@ def run_batch(
     """All topics, one after another; outputs are in topic order.
 
     The linker and the stopwords that ``cfg`` names are built once, and the
-    requests share one window ``matches`` memo and one ``phrases`` memo,
-    dropped on return.  ``jobs`` must be 1.
+    requests share one window ``matches`` memo, one ``phrases`` memo and one
+    ``walks`` memo, dropped on return.  ``jobs`` must be 1.
     """
     if jobs != 1:
         raise ValueError(f"requests run in order, so jobs must be 1, got {jobs}")
@@ -312,7 +325,9 @@ def run_batch(
     stopwords = load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else None
     matches: WindowMatches = {}
     phrases: Phrases = {}
-    pairs = [run_request_detailed(g, idx, r, cfg, linker, stopwords, matches=matches, phrases=phrases)
+    walks: Walks = {}
+    pairs = [run_request_detailed(g, idx, r, cfg, linker, stopwords,
+                                  matches=matches, phrases=phrases, walks=walks)
              for r in topics]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 

@@ -200,6 +200,32 @@ def test_shared_memo_matches_fresh_expansions_in_every_order(seed, n_nodes, n_in
         assert set(shared) == {frozenset(inputs)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 40), n_sets=st.integers(2, 6))
+def test_shared_walks_match_fresh_expansions(seed, n_nodes, n_sets):
+    rng = random.Random(seed)
+    nodes, edges = random_graph(rng, n_nodes)
+    g = build_graph(nodes, edges)
+    articles = g.article_ids()
+    sets = []
+    for _ in range(n_sets):
+        base = rng.choice(sets) if sets and rng.random() < 0.5 else []  # share inputs with an earlier set
+        inputs = set(base) | set(rng.sample(articles, min(rng.randint(1, 3), len(articles))))
+        candidates = g.doubly_linked_neighbors(rng.choice(sorted(inputs))).tolist()
+        if candidates and rng.random() < 0.5:  # an input that is another input's candidate
+            inputs.add(rng.choice(candidates))
+        sets.append(sorted(inputs))
+    requests = [(inputs, kind) for inputs in sets for kind in MotifKind]
+    rng.shuffle(requests)
+    walks = {}
+    for inputs, kind in requests:
+        qg = expand(g, inputs, kind, {}, walks)
+        fresh = expand(g, inputs, kind)
+        assert (qg.motif_kind, qg.input_nodes) == (fresh.motif_kind, fresh.input_nodes)
+        assert list(qg.expansion.items()) == list(fresh.expansion.items())
+    assert set(walks) == {i for inputs in sets for i in inputs}
+
+
 @pytest.mark.parametrize("kind", list(MotifKind))
 def test_expand_reads_a_one_shot_iterator_once(graffiti_graph, kind):
     g = graffiti_graph

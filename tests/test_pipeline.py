@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import merge_oracle
-from sqe import cli, pipeline, query_lang, search_engine
+from sqe import cli, motif_expander, pipeline, query_lang, search_engine
 from sqe.entity_linker import InputRequest
 from sqe.errors import FormatError, LengthMismatch, NoEntities
 from sqe.kb_graph import build_graph
@@ -201,6 +201,18 @@ def test_config_values_share_the_flag_wording():
         with pytest.raises(ValueError) as exc:
             PipelineConfig(**kwargs)
         assert str(exc.value) == message
+
+
+def test_bad_plan_kind_names_the_entry_and_the_kinds(tmp_path):
+    message = "plan entry 'a' kind must be one of triangular/square/both, got 'bogus'"
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig(plan=(("a", "bogus"),), cutoffs=())
+    assert str(exc.value) == message
+    path = tmp_path / "sqe.conf"
+    path.write_text("plan = eq1:hexagon\ncutoffs =\n")
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig.from_file(str(path))
+    assert str(exc.value) == message.replace("'a'", "'eq1'").replace("bogus", "hexagon")
 
 
 def test_config_file_empty_cutoffs_mean_none(tmp_path):
@@ -554,6 +566,24 @@ def test_batch_phrase_table_is_shared_and_each_run_equals_its_request_alone(
     assert not any(v is table for module in (pipeline, search_engine) for v in vars(module).values())
     monkeypatch.undo()
     assert runs == [run_request(g, idx, req, cfg) for req in BATCH_TOPICS]
+
+
+def test_batch_walks_each_linked_input_node_once(graffiti_graph, graffiti_index, monkeypatch):
+    """Inputs recur across requests, and each request expands them once per plan entry."""
+    g, idx = graffiti_graph, graffiti_index
+    walked = []
+    inner = motif_expander._walk
+
+    def spy(graph, i):
+        walked.append(i)
+        return inner(graph, i)
+
+    monkeypatch.setattr(motif_expander, "_walk", spy)
+    topics = [*BATCH_TOPICS, InputRequest("73b", "street art graffiti"), InputRequest("b2", "banksy")]
+    _runs, reports = run_batch(g, idx, topics, PipelineConfig(cutoffs=(3, 3), total=10))
+    linked = {g.article_by_title(t) for r in reports for t in r.entities}
+    assert sum(len(r.entities) for r in reports) > len(linked)  # some input recurs
+    assert sorted(walked) == sorted(linked)
 
 
 def test_batch_builds_each_title_phrase_once(graffiti_graph, graffiti_index, monkeypatch):
