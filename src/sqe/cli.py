@@ -26,11 +26,9 @@ from .search_engine import (
     RankedList,
     build_index,
     is_run_id,
-    prf_expand,
     read_documents,
     read_trec_run,
     save_index,
-    search,
     write_trec_run,
 )
 from .search_engine import load_index as _load_index
@@ -217,13 +215,10 @@ def cmd_search(args) -> int:
                 raise FormatError(args.queries, lineno, f"request {qid!r}: {exc}") from None
     else:
         return _usage_error("provide --query or --queries")
-    runs = []
+    cfg = dataclasses.replace(_DEFAULTS, mu=args.mu, prf=args.prf)
     matches = {}  # one window match memo for every query, as in a pipeline batch
-    for qid, tree in queries.items():
-        leaves = Leaves(matches)  # PRF's feedback ranking and the search share the query's leaves
-        if args.prf:
-            tree = prf_expand(idx, tree, mu=args.mu, leaves=leaves)
-        runs.append(search(idx, tree, args.k, qid, tag="sqe", mu=args.mu, leaves=leaves))
+    runs = [pipeline.rank(idx, tree, args.k, qid, cfg, None, Leaves(matches))
+            for qid, tree in queries.items()]
     with _output(args.out) as out:
         write_trec_run(runs, out)
     return 0
@@ -324,7 +319,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="motif expansion for given entities or text")
     _kb_flags(p, linker=True)
-    p.add_argument("--motif", choices=["triangular", "square", "both"], default="both")
+    p.add_argument("--motif", choices=[k.value for k in MotifKind], default="both")
     p.add_argument("--entities", nargs="+", help="explicit article titles")
     p.add_argument("--text", help="link entities from request text instead")
     p.add_argument("--out")
@@ -343,7 +338,7 @@ def make_parser() -> argparse.ArgumentParser:
     _kb_flags(p, linker=True)
     p.add_argument("--text")
     p.add_argument("--entities", nargs="+")
-    p.add_argument("--motif", choices=["triangular", "square", "both"])
+    p.add_argument("--motif", choices=[k.value for k in MotifKind])
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_query)
 

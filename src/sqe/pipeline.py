@@ -44,7 +44,7 @@ from .entity_linker import EntityLinker, InputRequest, load_stop_titles
 from .errors import FormatError, LengthMismatch, NoEntities
 from .kb_graph import KBGraph
 from .motif_expander import Expansions, MotifKind, Walks, expand
-from .query_lang import Phrases, build_expanded_query
+from .query_lang import Phrases, QueryNode, build_expanded_query
 from .search_engine import (
     DEFAULT_MU,
     MAX_MU,
@@ -235,6 +235,15 @@ def make_linker(g: KBGraph, max_ngram: int, stop_titles_path: str | None) -> Ent
     return EntityLinker(g, max_ngram=max_ngram, stop_titles=stop)
 
 
+def rank(idx: Index, query: QueryNode, k: int, request_id: str, cfg: PipelineConfig,
+         stopwords: frozenset[str] | None, leaves: Leaves) -> RankedList:
+    """PRF when ``cfg.prf``, then search, both scoring through ``leaves``: the
+    ranking of each plan entry of a request and of each ``sqe search`` query."""
+    if cfg.prf:
+        query = prf_expand(idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves)
+    return search(idx, query, k, request_id, cfg.tag, cfg.mu, leaves)
+
+
 def run_request_detailed(
     g: KBGraph,
     idx: Index,
@@ -245,14 +254,13 @@ def run_request_detailed(
     *,
     matches: WindowMatches,
     phrases: Phrases,
-    walks: Walks | None = None,
+    walks: Walks,
 ) -> tuple[RankedList, RequestReport]:
-    """One request through link, per-plan expansion, search and merge.
+    """One request through link, per-plan expansion, ranking and merge.
 
     ``run_batch`` builds ``linker``, ``stopwords``, the window ``matches``
     memo, the ``phrases`` memo and the ``walks`` memo once and passes them
-    to each of its requests; with no ``walks``, each input set walks its
-    inputs anew.
+    to each of its requests.
     """
     report = RequestReport(req.request_id)
     t0 = time.perf_counter()
@@ -288,11 +296,7 @@ def run_request_detailed(
 
         t0 = time.perf_counter()
         query = build_expanded_query(input_tokens, entity_titles, qg, g, phrases).root
-        if cfg.prf:
-            query = prf_expand(
-                idx, query, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight, stopwords, cfg.mu, leaves
-            )
-        results.append(search(idx, query, k, req.request_id, cfg.tag, cfg.mu, leaves))
+        results.append(rank(idx, query, k, req.request_id, cfg, stopwords, leaves))
         query_ms += (time.perf_counter() - t0) * 1000
     report.timings_ms["query"] = query_ms
 

@@ -153,6 +153,28 @@ def test_build_query_for_a_text_that_links_nothing_is_the_input_only_query(
     assert run and run == (tmp_path / "search.trec").read_text()
 
 
+def test_search_prf_ranks_an_input_only_query_as_run_with_prf_on(tmp_path, graffiti_kb,
+                                                                  graffiti_index_file, capsys):
+    """PRF alone and SQE plus PRF rank through one step: for a topic that links nothing,
+    `search --prf` on its rendered query writes the run that `run` with prf on writes."""
+    text = "mural painting on the wall"  # no title matches; its tokens are in the collection
+    assert main(["build-query", "--kb", graffiti_kb, "--text", text]) == 0
+    query = capsys.readouterr().out
+    topics = tmp_path / "topics.tsv"
+    topics.write_text(f"m1\t{text}\n")
+    config = tmp_path / "sqe.conf"
+    config.write_text("prf = on\n")
+    assert main(["run", "--kb", graffiti_kb, "--index", graffiti_index_file, "--topics", str(topics),
+                 "--config", str(config), "--out", str(tmp_path / "run.trec")]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(f"m1\t{query}")
+    assert main(["search", "--index", graffiti_index_file, "--queries", str(queries), "--prf",
+                 "--out", str(tmp_path / "search.trec")]) == 0
+    run = (tmp_path / "run.trec").read_text()
+    assert len(run.splitlines()) == len(GRAFFITI_DOCS)
+    assert run == (tmp_path / "search.trec").read_text()
+
+
 @pytest.mark.parametrize("command, fault", [
     (["link", "--text", "viki"], "no article title matches 'viki'"),
     (["expand", "--text", "viki"], "no article title matches 'viki'"),
@@ -181,6 +203,22 @@ def test_analyze_cycles_csv(cable_files, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "length,count,mean_category_ratio,mean_extra_edge_density"
     assert lines[1].startswith("2,1,0.0000")
+
+
+def test_analyze_cycles_seeds_a_category_by_its_title(cable_files, capsys):
+    nodes, edges = cable_files  # Cable_transport names a category and no article
+    assert main(["analyze-cycles", "--nodes", nodes, "--edges", edges, "--seeds", "Cable_transport"]) == 0
+    # an article-category pair carries one edge, so no 2-cycle closes at the category
+    assert capsys.readouterr().out.splitlines()[1:] == ["3,2,0.3333,0.1250", "4,1,0.2500,0.1667"]
+
+
+def test_analyze_cycles_seed_title_that_names_no_node_exits_2(cable_files, capsys):
+    nodes, edges = cable_files
+    assert main(["analyze-cycles", "--nodes", nodes, "--edges", edges,
+                 "--seeds", "Cable_car", "Viki"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqe: error: no node titled 'Viki'\n"
 
 
 def test_search_and_trec_output(graffiti_index_file, capsys):

@@ -616,7 +616,8 @@ def test_run_batch_reads_stopwords_file_as_run_request_does(graffiti_graph, graf
     for req, run in zip(topics, runs):
         assert run.entries == run_request(g, idx, req, cfg).entries
         given, _report = run_request_detailed(g, idx, req, PipelineConfig(**feedback), linker,
-                                              frozenset({"art", "street"}), matches={}, phrases={})
+                                              frozenset({"art", "street"}), matches={}, phrases={},
+                                              walks={})
         assert given.entries == run.entries
 
 
